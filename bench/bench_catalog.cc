@@ -3,9 +3,10 @@
 // present or not. We will discuss the impact of various network
 // structures.")
 //
-// Sweep: peer count P x structure (central index / Chord-style DHT /
+// Sweep: peer count P x structure (central index / routed Chord DHT /
 // Gnutella-style flooding over a random 4-regular-ish graph). Each run
-// resolves 50 lookups from random peers.
+// resolves 50 lookups from random peers, each through the backend's
+// Lookup on the system's network, run to completion.
 // Expected shape: central stays flat (2 messages) but concentrates load
 // on one node; DHT grows with log P; flooding grows with the edge count
 // (≈ 2P..4P messages) while keeping low hop latency for near copies.
@@ -62,9 +63,11 @@ void RunCatalog(benchmark::State& state,
     const int kLookups = 50;
     for (int i = 0; i < kLookups; ++i) {
       PeerId from = s.peers[rng.Index(s.peers.size())];
-      LookupResult r = cat->LookupNow(
-          ResourceKind::kDocument, StrCat("d", i % 8), from,
-          s.sys->network());
+      LookupResult r;
+      cat->Lookup(ResourceKind::kDocument, StrCat("d", i % 8), from,
+                  &s.sys->network(),
+                  [&r](const LookupResult& got) { r = got; });
+      s.sys->loop().Run();
       delay += r.delay_s;
       messages += static_cast<double>(r.messages);
       bytes += static_cast<double>(r.bytes);
@@ -83,9 +86,9 @@ void BM_Catalog_Central(benchmark::State& state) {
     return std::make_unique<CentralCatalog>(s.peers[0]);
   });
 }
-void BM_Catalog_Dht(benchmark::State& state) {
+void BM_Catalog_ChordDht(benchmark::State& state) {
   RunCatalog(state, [](const Setup&) {
-    return std::make_unique<DhtCatalog>();
+    return std::make_unique<ChordDhtCatalog>();
   });
 }
 void BM_Catalog_Flood(benchmark::State& state) {
@@ -100,7 +103,7 @@ void Sweep(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_Catalog_Central)->Apply(Sweep);
-BENCHMARK(BM_Catalog_Dht)->Apply(Sweep);
+BENCHMARK(BM_Catalog_ChordDht)->Apply(Sweep);
 BENCHMARK(BM_Catalog_Flood)->Apply(Sweep);
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Seven checks over src/ (and tests/, bench/, examples/ where noted),
+Eight checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
 
@@ -57,6 +57,13 @@ comments:
                        the contract that one sim seed replays every
                        fault verdict identically (and that an idle
                        injector is byte-identical to no injector).
+
+  mutable-static       A function-local ``static`` in src/ must be const
+                       (or constexpr). A mutable one is process-global
+                       state hidden in a function: its value depends on
+                       every earlier call in the process, so output
+                       depends on test order and on how many systems
+                       exist. Keep such state in the owning object.
 
 Suppressions: append ``// lint: allow-<check>`` (e.g. ``// lint:
 allow-determinism``) to the flagged line or the line above. Use rarely;
@@ -415,6 +422,58 @@ def check_injected_rng(sf: SourceFile) -> Iterator[Finding]:
                 )
 
 
+# --- mutable-static ---
+
+_STATIC_DECL_RE = re.compile(r"^\s*static\s")
+# The declaration up to its initializer or end: const anywhere in it
+# (const T, T* const, constexpr, constinit const) makes the binding const.
+_DECL_END_RE = re.compile(r"[=({;]")
+_CONST_RE = re.compile(r"\bconst(?:expr)?\b")
+_SCOPE_KEYWORD_RE = re.compile(r"\b(?:class|struct|union|namespace|enum)\b")
+
+
+def check_mutable_static(sf: SourceFile) -> Iterator[Finding]:
+    """Function-local statics are const: no hidden process-global state."""
+    # One entry per open brace: True when it opens (or nests inside) a
+    # function or lambda body. A brace opens a body when the code since
+    # the previous ';', '{' or '}' has a parameter list and no
+    # class/struct/union/namespace/enum keyword.
+    in_function: list[bool] = []
+    head = ""
+    for i, line in enumerate(sf.code, 1):
+        if (
+            in_function
+            and in_function[-1]
+            and _STATIC_DECL_RE.match(line)
+            and not _CONST_RE.search(_DECL_END_RE.split(line, maxsplit=1)[0])
+            and not suppressed(sf, i, "mutable-static")
+        ):
+            yield Finding(
+                sf.path,
+                i,
+                "mutable-static",
+                "mutable function-local static — process-global state "
+                "whose value depends on every earlier call; make it "
+                "const, or keep the state in the owning object",
+            )
+        for ch in line:
+            if ch == "{":
+                opens_body = ")" in head and not _SCOPE_KEYWORD_RE.search(head)
+                in_function.append(
+                    bool(in_function and in_function[-1]) or opens_body
+                )
+                head = ""
+            elif ch == "}":
+                if in_function:
+                    in_function.pop()
+                head = ""
+            elif ch == ";":
+                head = ""
+            else:
+                head += ch
+        head += " "
+
+
 def run_checks() -> list[Finding]:
     findings: list[Finding] = []
     for path in cxx_files(["src", "tests", "bench", "examples"]):
@@ -426,6 +485,8 @@ def run_checks() -> list[Finding]:
             findings.extend(check_header_hygiene(sf))
         elif top == "src":
             findings.extend(check_header_hygiene(sf))  # #pragma once ban
+        if top == "src":
+            findings.extend(check_mutable_static(sf))
         if top == "src" and "fault_injector" in path.name:
             findings.extend(check_injected_rng(sf))
         rel_posix = "/".join(rel_parts)

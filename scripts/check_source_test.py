@@ -140,6 +140,13 @@ class InjectedRngTest(unittest.TestCase):
             self.assertEqual(list(cs.check_injected_rng(sf)), [], name)
 
 
+class MutableStaticTest(unittest.TestCase):
+    def test_flags_mutable_locals_not_const_or_class_scope(self) -> None:
+        sf = fixture("bad_mutable_static.cc")
+        findings = list(cs.check_mutable_static(sf))
+        self.assertEqual(flagged_lines(findings, "mutable-static"), marked_lines(sf))
+
+
 class CleanFixtureTest(unittest.TestCase):
     def test_no_check_fires_on_clean_code(self) -> None:
         sf = fixture("clean.cc")
@@ -147,6 +154,7 @@ class CleanFixtureTest(unittest.TestCase):
             list(cs.check_determinism(sf))
             + list(cs.check_unordered_iteration(sf))
             + list(cs.check_raw_new_delete(sf))
+            + list(cs.check_mutable_static(sf))
         )
         self.assertEqual(findings, [])
 

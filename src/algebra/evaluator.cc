@@ -268,7 +268,7 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                    member->peer.ToString()));
       DeployExpr(ctx, Expr::Doc(member->name, member->peer), emit);
     };
-    if (options_.charge_discovery && sys_->catalog() != nullptr) {
+    if (sys_->catalog() != nullptr) {
       sys_->catalog()->Lookup(ResourceKind::kDocument, class_name, ctx,
                               &sys_->network(),
                               [proceed](const LookupResult&) { proceed(); });
@@ -684,7 +684,7 @@ void Evaluator::DeployCall(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                             expr->forwards()),
                  emit);
     };
-    if (options_.charge_discovery && sys_->catalog() != nullptr) {
+    if (sys_->catalog() != nullptr) {
       sys_->catalog()->Lookup(ResourceKind::kService, class_name, ctx,
                               &sys_->network(),
                               [proceed](const LookupResult&) { proceed(); });
@@ -879,10 +879,9 @@ void Evaluator::DeployShipQuery(PeerId ctx, const ExprPtr& e, EmitFn) {
   Query q = e->query();
   ServiceName name = e->install_as();
   if (name.empty()) {
-    static uint64_t counter = 0;
     // "Rather than giving it an explicit name ... we may refer to this
     // service as send_{p1→p2}(q@p1)" — we generate a stable name.
-    name = StrCat("shipped_q", counter++);
+    name = StrCat("shipped_q", shipped_queries_++);
   }
   sys_->network().SendReliable(
       ctx, to,

@@ -54,8 +54,6 @@ namespace axml {
 struct EvalOptions {
   /// How def. (9) picks among generic-class members.
   PickPolicy pick_policy = PickPolicy::kNearest;
-  /// Charge catalog traffic when resolving @any references.
-  bool charge_discovery = true;
   /// Enforce service signatures on parameters and responses.
   bool type_check = true;
   /// Route remote document reads through the replica subsystem
@@ -219,6 +217,9 @@ class Evaluator {
   std::map<std::tuple<PeerId, PeerId, DocName>, std::vector<EmitFn>>
       inflight_;
   std::vector<TraceEvent> trace_;
+  /// Names unnamed shipped queries (shipped_q0, shipped_q1, ...), so the
+  /// names depend only on this evaluator's history.
+  uint64_t shipped_queries_ = 0;
 };
 
 }  // namespace axml

@@ -15,6 +15,7 @@ namespace {
 /// (relaxed — the level is advisory, not a synchronization point) so a
 /// logging worker thread never races a SetLogLevel.
 std::atomic<LogLevel>& Level() {
+  // lint: allow-mutable-static: the log level is process-wide by design
   static std::atomic<LogLevel> level =
       ParseLogLevel(std::getenv("AXML_LOG_LEVEL"), LogLevel::kWarning);
   return level;

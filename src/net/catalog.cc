@@ -1,7 +1,6 @@
 #include "net/catalog.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -141,18 +140,31 @@ void CatalogBackend::ResetStats() {
   node_load_.clear();
 }
 
+void CatalogBackend::Answer(Network* net, PeerId from, PeerId to,
+                            uint64_t messages, uint64_t bytes, SimTime delay,
+                            const LookupResult& r, LookupCallback cb) {
+  // Exactly one of the two closures runs; they share one copy.
+  using Pending = std::pair<LookupResult, LookupCallback>;
+  auto answer = std::make_shared<Pending>(r, std::move(cb));
+  net->ControlRoundtrip(
+      from, to, messages, bytes, delay,
+      [answer] { answer->second(answer->first); },
+      [answer] {
+        answer->first.holders.clear();
+        answer->second(answer->first);
+      });
+}
+
 // --- CentralCatalog ---
 
-LookupResult CentralCatalog::LookupNow(ResourceKind kind,
-                                       const std::string& name, PeerId from,
-                                       const Network& net) {
+LookupResult CentralCatalog::Resolve(ResourceKind kind,
+                                     const std::string& name, PeerId from,
+                                     const Topology& topo) const {
   LookupResult r;
   if (const auto* h = Holders(kind, name)) r.holders = *h;
   // Request to the server + response back.
-  r.delay_s = net.topology().Get(from, server_).TransferTime(
-                  kCatalogMsgBytes) +
-              net.topology().Get(server_, from).TransferTime(
-                  kCatalogMsgBytes);
+  r.delay_s = topo.Get(from, server_).TransferTime(kCatalogMsgBytes) +
+              topo.Get(server_, from).TransferTime(kCatalogMsgBytes);
   r.messages = 2;
   r.bytes = 2 * kCatalogMsgBytes;
   return r;
@@ -160,15 +172,16 @@ LookupResult CentralCatalog::LookupNow(ResourceKind kind,
 
 void CentralCatalog::Lookup(ResourceKind kind, const std::string& name,
                             PeerId from, Network* net, LookupCallback cb) {
-  LookupResult r = LookupNow(kind, name, from, *net);
+  LookupResult r = Resolve(kind, name, from, net->topology());
   RecordLookup(r.messages, r.bytes);
   // The server handles the request; the requester receiving its own
   // response is not load.
   AddNodeLoad(server_);
   // The exchange is anchored on the requester->server link, so it queues
-  // behind (and is judged with) that link's data traffic.
-  net->ControlRoundtrip(from, server_, r.messages, r.bytes, r.delay_s,
-                        [cb = std::move(cb), r] { cb(r); });
+  // behind (and is judged with) that link's data traffic. A down server
+  // answers nothing: the lookup ends with no holders.
+  Answer(net, from, server_, r.messages, r.bytes, r.delay_s, r,
+         std::move(cb));
 }
 
 // --- ChordDhtCatalog ---
@@ -225,9 +238,7 @@ void ChordDhtCatalog::SetPeerLive(PeerId peer, bool live) {
   }
 }
 
-uint32_t ChordDhtCatalog::NextHop(uint32_t cur, uint32_t responsible,
-                                  uint64_t target) const {
-  (void)target;
+uint32_t ChordDhtCatalog::NextHop(uint32_t cur, uint32_t responsible) const {
   const uint64_t cur_pt = PeerPoint(cur);
   const uint64_t span = RingDist(cur_pt, PeerPoint(responsible));
   // Greedy finger routing: the farthest known node that does not
@@ -241,128 +252,86 @@ uint32_t ChordDhtCatalog::NextHop(uint32_t cur, uint32_t responsible,
   return responsible;
 }
 
-PeerId ChordDhtCatalog::ResponsibleNode(ResourceKind kind,
-                                        const std::string& name) const {
-  EnsureRing();
-  if (ring_.empty()) return PeerId::Invalid();
-  return PeerId(SuccessorOf(KeyPoint(MapKey(kind, name))));
-}
-
-std::vector<PeerId> ChordDhtCatalog::Route(ResourceKind kind,
-                                           const std::string& name,
-                                           PeerId from) const {
-  EnsureRing();
-  std::vector<PeerId> path;
-  if (ring_.empty()) return path;
-  const uint64_t target = KeyPoint(MapKey(kind, name));
-  const uint32_t responsible = SuccessorOf(target);
-  // Requesters outside the ring (tests with ad-hoc ids) enter through
-  // the responsible node directly.
-  if (!from.is_concrete() || from.index() >= peer_count_) {
-    path.push_back(PeerId(responsible));
-    return path;
-  }
-  uint32_t cur = from.index();
-  while (cur != responsible) {
-    cur = NextHop(cur, responsible, target);
-    path.push_back(PeerId(cur));
-  }
-  return path;
-}
-
-LookupResult ChordDhtCatalog::LookupNow(ResourceKind kind,
-                                        const std::string& name, PeerId from,
-                                        const Network& net) {
-  LookupResult r;
-  if (const auto* h = Holders(kind, name)) r.holders = *h;
-  const std::vector<PeerId> route = Route(kind, name, from);
-  PeerId cur = from;
-  for (PeerId next : route) {
-    r.delay_s += net.topology().Get(cur, next).TransferTime(kCatalogMsgBytes);
-    ++r.messages;
-    cur = next;
-  }
-  if (cur != from) {
-    // Response hop responsible -> requester.
-    r.delay_s += net.topology().Get(cur, from).TransferTime(kCatalogMsgBytes);
-    ++r.messages;
-  }
-  r.bytes = r.messages * kCatalogMsgBytes;
-  return r;
-}
-
 void ChordDhtCatalog::Lookup(ResourceKind kind, const std::string& name,
                              PeerId from, Network* net, LookupCallback cb) {
-  EnsureRing();
   ++stats_.lookups;
-  struct Chain {
-    ResourceKind kind;
-    std::string name;
-    PeerId from;
-    std::vector<PeerId> route;
-    size_t i = 0;
-    double delay_s = 0;
-    uint64_t messages = 0;
-    Network* net = nullptr;
-    LookupCallback cb;
-  };
-  auto st = std::make_shared<Chain>();
-  st->kind = kind;
-  st->name = name;
-  st->from = from;
-  st->route = Route(kind, name, from);
-  st->net = net;
-  st->cb = std::move(cb);
+  auto walk = std::make_shared<Walk>();
+  walk->kind = kind;
+  walk->name = name;
+  walk->target = KeyPoint(MapKey(kind, name));
+  walk->from = from;
+  walk->net = net;
+  walk->cb = std::move(cb);
+  Step(walk, from);
+}
 
-  // Iterative hop-by-hop routing: each hop is a ControlRoundtrip on the
-  // actual cur->next link, so it is priced against that link's traffic,
-  // traced, and subject to fault injection; the receiving node's load
-  // counter moves when the hop is delivered.
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, step]() {
-    if (st->i >= st->route.size()) {
-      LookupResult r;
-      // Holders snapshot when the request reaches the responsible node.
-      if (const auto* h = Holders(st->kind, st->name)) r.holders = *h;
-      const PeerId responsible =
-          st->route.empty() ? st->from : st->route.back();
-      if (responsible == st->from) {
-        // The requester owns the entry's arc: a local index read.
-        r.delay_s = st->delay_s;
-        r.messages = st->messages;
-        r.bytes = r.messages * kCatalogMsgBytes;
-        st->net->ControlRoundtrip(st->from, st->from, 0, 0, 0.0,
-                                  [st, r] { st->cb(r); });
-        return;
-      }
-      const double back = st->net->topology()
-                              .Get(responsible, st->from)
-                              .TransferTime(kCatalogMsgBytes);
-      r.delay_s = st->delay_s + back;
-      r.messages = st->messages + 1;
+void ChordDhtCatalog::Step(const std::shared_ptr<Walk>& walk, PeerId cur) {
+  EnsureRing();
+  Network* net = walk->net;
+  // The responsible node is resolved afresh at every hop, so a crash
+  // mid-route moves the destination to the next live successor.
+  const uint32_t responsible =
+      ring_.empty() ? cur.index() : SuccessorOf(walk->target);
+  if (cur.index() == responsible) {
+    LookupResult r;
+    // Holders snapshot when the request reaches the responsible node.
+    if (const auto* h = Holders(walk->kind, walk->name)) r.holders = *h;
+    if (cur == walk->from) {
+      // The requester owns the entry's arc: a local index read.
+      r.delay_s = walk->delay_s;
+      r.messages = walk->messages;
       r.bytes = r.messages * kCatalogMsgBytes;
-      stats_.lookup_messages += 1;
-      stats_.lookup_bytes += kCatalogMsgBytes;
-      st->net->ControlRoundtrip(responsible, st->from, 1, kCatalogMsgBytes,
-                                back, [st, r] { st->cb(r); });
+      Answer(net, cur, cur, 0, 0, 0.0, r, std::move(walk->cb));
       return;
     }
-    const PeerId cur = st->i == 0 ? st->from : st->route[st->i - 1];
-    const PeerId next = st->route[st->i];
-    ++st->i;
-    const double d =
-        st->net->topology().Get(cur, next).TransferTime(kCatalogMsgBytes);
-    st->delay_s += d;
-    ++st->messages;
+    const double back = net->topology()
+                            .Get(cur, walk->from)
+                            .TransferTime(kCatalogMsgBytes);
+    r.delay_s = walk->delay_s + back;
+    r.messages = walk->messages + 1;
+    r.bytes = r.messages * kCatalogMsgBytes;
     stats_.lookup_messages += 1;
     stats_.lookup_bytes += kCatalogMsgBytes;
-    st->net->ControlRoundtrip(cur, next, 1, kCatalogMsgBytes, d,
-                              [this, st, step, next] {
-                                AddNodeLoad(next);
-                                (*step)();
-                              });
-  };
-  (*step)();
+    Answer(net, cur, walk->from, 1, kCatalogMsgBytes, back, r,
+           std::move(walk->cb));
+    return;
+  }
+  // Requesters outside the ring (tests with ad-hoc ids) enter through
+  // the responsible node directly.
+  const bool in_ring = cur.is_concrete() && cur.index() < peer_count_;
+  const PeerId next(in_ring ? NextHop(cur.index(), responsible)
+                            : responsible);
+  // Each hop is a ControlRoundtrip on the actual cur->next link, so it
+  // is priced against that link's traffic, traced, and subject to fault
+  // injection; the receiving node's load counter moves when the hop is
+  // delivered.
+  const double d =
+      net->topology().Get(cur, next).TransferTime(kCatalogMsgBytes);
+  walk->delay_s += d;
+  ++walk->messages;
+  stats_.lookup_messages += 1;
+  stats_.lookup_bytes += kCatalogMsgBytes;
+  net->ControlRoundtrip(
+      cur, next, 1, kCatalogMsgBytes, d,
+      [this, walk, next] {
+        AddNodeLoad(next);
+        Step(walk, next);
+      },
+      [this, walk, cur, next] {
+        // The hop was abandoned because an endpoint crashed. From a live
+        // node whose next hop is now known down, route again: the pick
+        // skips the crashed peer. Otherwise the lookup is stranded and
+        // ends with no holders.
+        if (walk->net->IsPeerUp(cur) && !IsLive(next.index())) {
+          Step(walk, cur);
+          return;
+        }
+        LookupResult lost;
+        lost.delay_s = walk->delay_s;
+        lost.messages = walk->messages;
+        lost.bytes = lost.messages * kCatalogMsgBytes;
+        walk->cb(lost);
+      });
 }
 
 void ChordDhtCatalog::OnAdvertiseDelta(ResourceKind kind,
@@ -415,46 +384,11 @@ void ChordDhtCatalog::SendDigest(uint32_t holder, uint32_t responsible,
   net_->ControlRoundtrip(h, r, 1, bytes, d, [] {});
 }
 
-// --- DhtCatalog ---
-
-uint32_t DhtCatalog::HopCount() const {
-  uint32_t n = std::max<uint32_t>(peer_count_, 2);
-  return static_cast<uint32_t>(
-      std::ceil(std::log2(static_cast<double>(n))));
-}
-
-LookupResult DhtCatalog::LookupNow(ResourceKind kind,
-                                   const std::string& name, PeerId from,
-                                   const Network& net) {
-  (void)from;
-  LookupResult r;
-  if (const auto* h = Holders(kind, name)) r.holders = *h;
-  const double hop = avg_hop_latency_s_ > 0
-                         ? avg_hop_latency_s_
-                         : net.topology().default_link().latency_s;
-  const uint32_t hops = HopCount();
-  // `hops` routing messages to reach the responsible node, one response.
-  r.messages = hops + 1;
-  r.bytes = r.messages * kCatalogMsgBytes;
-  r.delay_s = static_cast<double>(hops + 1) * hop;
-  return r;
-}
-
-void DhtCatalog::Lookup(ResourceKind kind, const std::string& name,
-                        PeerId from, Network* net, LookupCallback cb) {
-  LookupResult r = LookupNow(kind, name, from, *net);
-  RecordLookup(r.messages, r.bytes);
-  // Overlay-diffuse: hops spread over many links, so the exchange is
-  // anchored on the requester's loopback (free link, injector-exempt).
-  net->ControlRoundtrip(from, from, r.messages, r.bytes, r.delay_s,
-                        [cb = std::move(cb), r] { cb(r); });
-}
-
 // --- FloodCatalog ---
 
-LookupResult FloodCatalog::LookupNow(ResourceKind kind,
-                                     const std::string& name, PeerId from,
-                                     const Network& net) {
+LookupResult FloodCatalog::Resolve(ResourceKind kind,
+                                   const std::string& name, PeerId from,
+                                   const Topology& topo) const {
   LookupResult r;
   const std::vector<PeerId>* holders = Holders(kind, name);
   std::unordered_set<PeerId> holder_set;
@@ -465,11 +399,11 @@ LookupResult FloodCatalog::LookupNow(ResourceKind kind,
   // BFS over the neighbor graph up to the TTL, counting one message per
   // edge traversed (the classic Gnutella cost). If no neighbor graph is
   // declared, fall back to "broadcast to everyone in one hop".
-  if (!net.topology().has_neighbor_graph()) {
+  if (!topo.has_neighbor_graph()) {
     uint32_t n = std::max<uint32_t>(peer_count_, 1) - 1;
     r.messages = n;
     r.bytes = static_cast<uint64_t>(n) * kCatalogMsgBytes;
-    r.delay_s = net.topology().default_link().latency_s * 2;
+    r.delay_s = topo.default_link().latency_s * 2;
     if (holders != nullptr) r.holders = *holders;
     return r;
   }
@@ -487,7 +421,7 @@ LookupResult FloodCatalog::LookupNow(ResourceKind kind,
       found_depth = std::max(found_depth, d);
     }
     if (d >= ttl_) continue;
-    for (PeerId nb : net.topology().Neighbors(cur)) {
+    for (PeerId nb : topo.Neighbors(cur)) {
       ++r.messages;  // the query travels this edge regardless
       if (!depth.count(nb)) {
         depth[nb] = d + 1;
@@ -498,7 +432,7 @@ LookupResult FloodCatalog::LookupNow(ResourceKind kind,
   // A holder on `from` itself also answers.
   if (holder_set.count(from)) r.holders.push_back(from);
   r.bytes = r.messages * kCatalogMsgBytes;
-  const double hop = net.topology().default_link().latency_s;
+  const double hop = topo.default_link().latency_s;
   // Delay: query floods to found_depth, response unwinds the same path.
   r.delay_s = 2.0 * hop * std::max<uint32_t>(found_depth, 1);
   return r;
@@ -506,14 +440,13 @@ LookupResult FloodCatalog::LookupNow(ResourceKind kind,
 
 void FloodCatalog::Lookup(ResourceKind kind, const std::string& name,
                           PeerId from, Network* net, LookupCallback cb) {
-  LookupResult r = LookupNow(kind, name, from, *net);
+  LookupResult r = Resolve(kind, name, from, net->topology());
   // Flood load diffuses over every visited peer; it is not attributed
   // to node_load (the hot-node comparison is central vs DHT).
   RecordLookup(r.messages, r.bytes);
-  // Flood traffic diffuses over every edge; like the DHT it is anchored
-  // on the requester's loopback rather than any single link.
-  net->ControlRoundtrip(from, from, r.messages, r.bytes, r.delay_s,
-                        [cb = std::move(cb), r] { cb(r); });
+  // Flood traffic diffuses over every edge, so it is anchored on the
+  // requester's loopback rather than any single link.
+  Answer(net, from, from, r.messages, r.bytes, r.delay_s, r, std::move(cb));
 }
 
 }  // namespace axml

@@ -5,8 +5,8 @@
 // discuss the impact of various network structures further on." The
 // catalog is where that impact shows: resolving `d@any` (def. 9) needs to
 // discover which peers hold members of the equivalence class. The
-// CatalogBackend interface makes the structure pluggable; four
-// implementations exist:
+// CatalogBackend interface makes the structure pluggable; three
+// implementations exist, one per network structure:
 //
 //  - CentralCatalog:  one index server; lookup = RTT to the server plus a
 //                     small request/response payload.
@@ -19,16 +19,14 @@
 //                     (Begin/EndAdvertiseBatch), so re-advertising an
 //                     unchanged entry is free and bulk installs pay per
 //                     delta, not per call.
-//  - DhtCatalog:      the analytic cost model of the above (ceil(log2 P)
-//                     average-latency hops, loopback-anchored); kept for
-//                     closed-form sweeps (EXP-8).
 //  - FloodCatalog:    Gnutella-style flooding over the topology's
 //                     neighbor graph with a TTL; cost = one message per
 //                     edge visited, delay = the depth at which the
 //                     resource was first found.
 //
-// Lookups charge control-plane traffic to the Network's stats and
-// complete asynchronously after the modeled delay. Every backend also
+// There is one way to look a resource up: Lookup, which charges
+// control-plane traffic to the Network's stats and answers
+// asynchronously, exactly once. Every backend also
 // feeds CatalogStats — lookup/advertisement message counts plus a
 // per-serving-node load table, the data behind the hot-node share
 // comparison in bench_fleet.
@@ -39,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -109,18 +108,14 @@ class CatalogBackend {
   /// Number of peers advertising `name` (free, like IsAdvertised).
   size_t HolderCount(ResourceKind kind, const std::string& name) const;
 
-  /// Resolves `name` from peer `from`: charges modeled traffic on `net`
-  /// and invokes `cb` after the modeled delay.
+  /// Resolves `name` from peer `from`: charges traffic on `net` and
+  /// invokes `cb` exactly once — after the lookup's exchanges complete,
+  /// or with no holders when a crashed peer ends the lookup early.
   virtual void Lookup(ResourceKind kind, const std::string& name,
                       PeerId from, Network* net, LookupCallback cb) = 0;
 
-  /// Synchronous variant used by tests and the cost model: returns the
-  /// result without touching the network or the stats.
-  virtual LookupResult LookupNow(ResourceKind kind, const std::string& name,
-                                 PeerId from, const Network& net) = 0;
-
-  /// Number of peers this catalog assumes in the system (for cost
-  /// formulas and the DHT ring); set by AxmlSystem.
+  /// Number of peers this catalog assumes in the system (for the DHT
+  /// ring and the flood fallback); set by AxmlSystem.
   void set_peer_count(uint32_t n) {
     if (n == peer_count_) return;
     peer_count_ = n;
@@ -193,6 +188,13 @@ class CatalogBackend {
   }
   bool in_advertise_batch() const { return advertise_batch_depth_ > 0; }
 
+  /// Sends a lookup's answering exchange from -> to and calls `cb`
+  /// exactly once: with `r` when it completes, with `r` minus its
+  /// holders when the exchange is abandoned (an endpoint crashed).
+  static void Answer(Network* net, PeerId from, PeerId to,
+                     uint64_t messages, uint64_t bytes, SimTime delay,
+                     const LookupResult& r, LookupCallback cb);
+
   const std::vector<PeerId>* Holders(ResourceKind kind,
                                      const std::string& name) const;
   static std::string MapKey(ResourceKind kind, const std::string& name) {
@@ -221,12 +223,14 @@ class CentralCatalog : public CatalogBackend {
   const char* backend_name() const override { return "central"; }
   void Lookup(ResourceKind kind, const std::string& name, PeerId from,
               Network* net, LookupCallback cb) override;
-  LookupResult LookupNow(ResourceKind kind, const std::string& name,
-                         PeerId from, const Network& net) override;
 
   PeerId server() const { return server_; }
 
  private:
+  /// Holders plus the priced request/response round trip to the server.
+  LookupResult Resolve(ResourceKind kind, const std::string& name,
+                       PeerId from, const Topology& topo) const;
+
   PeerId server_;
 };
 
@@ -234,10 +238,11 @@ class CentralCatalog : public CatalogBackend {
 /// 64-bit hash ring ending at its point; entry `name` lives at the
 /// successor of hash(name). Lookups route greedily through finger
 /// intervals (successor of cur + 2^j), giving O(log P) hops, each hop a
-/// ControlRoundtrip on the actual cur->next link. Advertisement deltas
-/// route as digest messages holder -> responsible node (holders cache
-/// their responsible-node addresses, the standard one-hop put) and
-/// coalesce under Begin/EndAdvertiseBatch.
+/// ControlRoundtrip on the actual cur->next link. Each next hop is
+/// picked from the node the lookup is on, when it sends that hop.
+/// Advertisement deltas route as digest messages holder -> responsible
+/// node (holders cache their responsible-node addresses, the standard
+/// one-hop put) and coalesce under Begin/EndAdvertiseBatch.
 ///
 /// The ring is rebuilt lazily when peer_count changes, so fleet bring-up
 /// (P AddPeer calls) does not pay P ring builds. Liveness-aware routing
@@ -245,8 +250,10 @@ class CentralCatalog : public CatalogBackend {
 /// resolution walks past it — its arc is absorbed by the next live peer,
 /// the lazy form of Chord's successor-list repair — and finger targets
 /// resolve through the same filter, so every hop of every route lands on
-/// a live node. Rejoin restores the peer's arc on the next resolution;
-/// no explicit finger tables exist to fix up.
+/// a live node. A hop abandoned because its next node crashed in flight
+/// is routed again from the last live hop, as Chord does, not retried
+/// into the dead one. Rejoin restores the peer's arc on the next
+/// resolution; no explicit finger tables exist to fix up.
 class ChordDhtCatalog : public CatalogBackend {
  public:
   ChordDhtCatalog() = default;
@@ -254,18 +261,7 @@ class ChordDhtCatalog : public CatalogBackend {
   const char* backend_name() const override { return "chord-dht"; }
   void Lookup(ResourceKind kind, const std::string& name, PeerId from,
               Network* net, LookupCallback cb) override;
-  LookupResult LookupNow(ResourceKind kind, const std::string& name,
-                         PeerId from, const Network& net) override;
   void SetPeerLive(PeerId peer, bool live) override;
-
-  /// The peer whose arc covers hash(name) — where the entry's digest
-  /// traffic lands. Invalid when the ring is empty.
-  PeerId ResponsibleNode(ResourceKind kind, const std::string& name) const;
-  /// Routing path from `from` to the responsible node, excluding `from`
-  /// itself and including the responsible node; empty when `from` is
-  /// responsible (or outside the ring).
-  std::vector<PeerId> Route(ResourceKind kind, const std::string& name,
-                            PeerId from) const;
 
  protected:
   void OnAdvertiseDelta(ResourceKind kind, const std::string& name,
@@ -284,9 +280,22 @@ class ChordDhtCatalog : public CatalogBackend {
   /// The first *live* peer at or clockwise of `point` (a crashed
   /// successor is skipped — its arc falls to the next live peer).
   uint32_t SuccessorOf(uint64_t point) const;
-  /// Next routing hop from `cur` toward `responsible` for `target`.
-  uint32_t NextHop(uint32_t cur, uint32_t responsible,
-                   uint64_t target) const;
+  /// Next routing hop from `cur` toward `responsible`.
+  uint32_t NextHop(uint32_t cur, uint32_t responsible) const;
+  /// One lookup in flight: where it is headed and what it has cost.
+  struct Walk {
+    ResourceKind kind = ResourceKind::kDocument;
+    std::string name;
+    uint64_t target = 0;
+    PeerId from;
+    Network* net = nullptr;
+    double delay_s = 0;
+    uint64_t messages = 0;
+    LookupCallback cb;
+  };
+  /// Advances `walk`, now at `cur`: answers the requester when `cur` is
+  /// responsible, otherwise sends the next hop.
+  void Step(const std::shared_ptr<Walk>& walk, PeerId cur);
   /// One digest message holder -> responsible covering `deltas` entries.
   void SendDigest(uint32_t holder, uint32_t responsible, uint64_t deltas);
 
@@ -300,27 +309,6 @@ class ChordDhtCatalog : public CatalogBackend {
   std::map<std::pair<uint32_t, uint32_t>, uint64_t> pending_digests_;
 };
 
-/// Analytic structured-overlay model with O(log P) routing: the
-/// closed-form twin of ChordDhtCatalog, for sweeps that want the formula
-/// rather than routed traffic.
-class DhtCatalog : public CatalogBackend {
- public:
-  /// `avg_hop_latency_s`: mean one-way latency of one overlay hop. When
-  /// <= 0, the topology's default link latency is used.
-  explicit DhtCatalog(double avg_hop_latency_s = -1.0)
-      : avg_hop_latency_s_(avg_hop_latency_s) {}
-
-  const char* backend_name() const override { return "dht-model"; }
-  void Lookup(ResourceKind kind, const std::string& name, PeerId from,
-              Network* net, LookupCallback cb) override;
-  LookupResult LookupNow(ResourceKind kind, const std::string& name,
-                         PeerId from, const Network& net) override;
-
- private:
-  uint32_t HopCount() const;
-  double avg_hop_latency_s_;
-};
-
 /// Unstructured flooding over the topology's neighbor graph.
 class FloodCatalog : public CatalogBackend {
  public:
@@ -329,10 +317,12 @@ class FloodCatalog : public CatalogBackend {
   const char* backend_name() const override { return "flood"; }
   void Lookup(ResourceKind kind, const std::string& name, PeerId from,
               Network* net, LookupCallback cb) override;
-  LookupResult LookupNow(ResourceKind kind, const std::string& name,
-                         PeerId from, const Network& net) override;
 
  private:
+  /// Holders within the TTL plus the flood's message count and delay.
+  LookupResult Resolve(ResourceKind kind, const std::string& name,
+                       PeerId from, const Topology& topo) const;
+
   uint32_t ttl_;
 };
 

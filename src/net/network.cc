@@ -50,7 +50,8 @@ void Network::SendReliable(PeerId from, PeerId to, uint64_t bytes,
   AXML_CHECK(from.is_concrete());
   AXML_CHECK(to.is_concrete());
   stats_.Record(from, to, bytes);
-  ReliableAttempt(from, to, bytes, std::move(on_deliver));
+  Retry(from, to, bytes, /*delay=*/0, /*control=*/false,
+        std::move(on_deliver), /*on_abandon=*/nullptr);
 }
 
 void Network::Send(PeerId from, PeerId to, wire::Payload payload,
@@ -90,33 +91,6 @@ void Network::ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
   const uint64_t bytes = payload.size() + response_bytes;
   stats_.RecordPayload(payload.message_class(), payload.size());
   ControlRoundtrip(from, to, messages, bytes, delay, std::move(on_done));
-}
-
-void Network::ReliableAttempt(PeerId from, PeerId to, uint64_t bytes,
-                              DeliverFn on_deliver) {
-  // The drop path schedules a retransmission one RTO later (the sender
-  // notices the missing ack); each retransmission advances virtual
-  // time, so partition windows are eventually outlived. A send whose
-  // endpoint has crashed is abandoned instead — retrying into a down
-  // peer forever would keep the event loop alive.
-  DeliverFn on_drop = [this, from, to, bytes, on_deliver]() {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    if (!IsPeerUp(from) || !IsPeerUp(to)) return;
-    const LinkParams link = topology_.Get(from, to);
-    const SimTime rto =
-        std::max(2 * link.latency_s +
-                     static_cast<double>(bytes) / link.bandwidth_bps,
-                 kMinRetryDelay);
-    loop_->ScheduleAfter(rto, [this, from, to, bytes, on_deliver]() {
-      AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-      if (!IsPeerUp(from) || !IsPeerUp(to)) return;
-      stats_.Record(from, to, bytes);  // the retransmission is real bytes
-      ReliableAttempt(from, to, bytes, on_deliver);
-    });
-  };
-  DeliverFn deliver = on_deliver;
-  ScheduleDelivery(from, to, bytes, std::move(deliver), "msg",
-                   /*min_delay=*/0, std::move(on_drop));
 }
 
 bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
@@ -189,34 +163,60 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
 
 void Network::ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
                                uint64_t bytes, SimTime delay,
-                               DeliverFn on_done) {
+                               DeliverFn on_done, DeliverFn on_abandon) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(from.is_concrete());
   AXML_CHECK(to.is_concrete());
   stats_.RecordControl(messages, bytes);
-  ControlAttempt(from, to, bytes, delay, std::move(on_done));
+  Retry(from, to, bytes, delay, /*control=*/true, std::move(on_done),
+        std::move(on_abandon));
 }
 
-void Network::ControlAttempt(PeerId from, PeerId to, uint64_t bytes,
-                             SimTime delay, DeliverFn on_done) {
-  // A dropped roundtrip is retried after its own delay (the requester
-  // times out and re-asks), charging one fresh control message per
-  // retry. Only a crashed requester abandons the exchange — catalog
-  // servers answer whoever is still alive.
-  DeliverFn on_drop = [this, from, to, bytes, delay, on_done]() {
+void Network::Retry(PeerId from, PeerId to, uint64_t bytes, SimTime delay,
+                    bool control, DeliverFn on_deliver,
+                    DeliverFn on_abandon) {
+  // The one give-up rule, checked when the drop is noticed and again
+  // when the retry would fire: a send with a crashed endpoint stops.
+  auto gave_up = [this, from, to](const DeliverFn& abandon) {
     AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    if (!IsPeerUp(from)) return;
-    const SimTime backoff = std::max(delay, kMinRetryDelay);
-    loop_->ScheduleAfter(backoff, [this, from, to, bytes, delay, on_done]() {
-      AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-      if (!IsPeerUp(from)) return;
-      stats_.RecordControl(1, bytes);
-      ControlAttempt(from, to, bytes, delay, on_done);
-    });
+    if (IsPeerUp(from) && IsPeerUp(to)) return false;
+    if (abandon) abandon();
+    return true;
   };
-  DeliverFn done = on_done;
-  ScheduleDelivery(from, to, bytes, std::move(done), "control",
-                   /*min_delay=*/delay, std::move(on_drop));
+  // Each retry advances virtual time, so partition windows are
+  // eventually outlived. A reliable send retransmits one RTO later (the
+  // sender notices the missing ack); a control roundtrip re-asks after
+  // its own delay. A drop fires at most once, so its closure hands the
+  // callbacks on by move.
+  DeliverFn on_drop = [this, from, to, bytes, delay, control, gave_up,
+                       on_deliver, on_abandon]() mutable {
+    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+    if (gave_up(on_abandon)) return;
+    const LinkParams link = topology_.Get(from, to);
+    const SimTime backoff = std::max(
+        control ? delay
+                : 2 * link.latency_s +
+                      static_cast<double>(bytes) / link.bandwidth_bps,
+        kMinRetryDelay);
+    loop_->ScheduleAfter(
+        backoff, [this, from, to, bytes, delay, control, gave_up,
+                  on_deliver = std::move(on_deliver),
+                  on_abandon = std::move(on_abandon)]() mutable {
+          AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+          if (gave_up(on_abandon)) return;
+          // The retry is real traffic.
+          if (control) {
+            stats_.RecordControl(1, bytes);
+          } else {
+            stats_.Record(from, to, bytes);
+          }
+          Retry(from, to, bytes, delay, control, std::move(on_deliver),
+                std::move(on_abandon));
+        });
+  };
+  ScheduleDelivery(from, to, bytes, std::move(on_deliver),
+                   control ? "control" : "msg",
+                   /*min_delay=*/control ? delay : 0, std::move(on_drop));
 }
 
 void Network::SetPeerUp(PeerId peer, bool up) {

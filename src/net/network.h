@@ -78,10 +78,9 @@ class Network {
   /// retransmission timeout of about one RTT) whenever the fabric drops
   /// the message, so the payload eventually lands under lossy-link or
   /// partition-window fault schedules. Each retransmission is charged
-  /// to NetStats like a fresh message. If either endpoint is down when
-  /// a retransmission would fire the send is abandoned silently — a
-  /// crashed peer must not keep the event loop alive forever. On a
-  /// perfect fabric this is byte-identical to Send.
+  /// to NetStats like a fresh message. Gives up under the one retry
+  /// rule (see Retry). On a perfect fabric this is byte-identical to
+  /// Send.
   void SendReliable(PeerId from, PeerId to, uint64_t bytes,
                     DeliverFn on_deliver);
 
@@ -92,9 +91,12 @@ class Network {
   /// FIFO + fault-injector path as data messages, so control traffic is
   /// no longer invisible to the size histogram, trace spans, or the
   /// injector. A dropped roundtrip retries after `delay` (recharging
-  /// one control message per retry) unless the requester is down.
+  /// one control message per retry) under the one retry rule (see
+  /// Retry); when it gives up, `on_abandon` (if any) runs instead of
+  /// `on_done` — exactly one of the two runs.
   void ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
-                        uint64_t bytes, SimTime delay, DeliverFn on_done);
+                        uint64_t bytes, SimTime delay, DeliverFn on_done,
+                        DeliverFn on_abandon = nullptr);
 
   /// Attaches a fault injector that rules on every non-loopback message
   /// (nullptr detaches — the default, a perfect fabric).
@@ -155,15 +157,16 @@ class Network {
                         SimTime min_delay = 0, DeliverFn on_drop = nullptr)
       AXML_REQUIRES(sequence_checker_);
 
-  /// One (re)transmission attempt of a reliable send; wires the next
-  /// attempt into the drop path.
-  void ReliableAttempt(PeerId from, PeerId to, uint64_t bytes,
-                       DeliverFn on_deliver)
-      AXML_REQUIRES(sequence_checker_);
-
-  /// One attempt of a control roundtrip; retries itself on drop.
-  void ControlAttempt(PeerId from, PeerId to, uint64_t bytes,
-                      SimTime delay, DeliverFn on_done)
+  /// One attempt of a retried send — SendReliable (`control` false:
+  /// a "msg" span, retransmitted one RTO later) or ControlRoundtrip
+  /// (`control` true: a "control" span floored at `delay`, re-asked
+  /// `delay` later). The one retry rule: a dropped attempt is sent
+  /// again, recharged as fresh traffic, while both endpoints are up;
+  /// once either is down the send stops and `on_abandon` (if any) runs.
+  /// Retrying into a crashed peer would keep the event loop alive
+  /// forever.
+  void Retry(PeerId from, PeerId to, uint64_t bytes, SimTime delay,
+             bool control, DeliverFn on_deliver, DeliverFn on_abandon)
       AXML_REQUIRES(sequence_checker_);
 
   SequenceChecker sequence_checker_;

@@ -248,22 +248,24 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
   return true;
 }
 
+bool ReplicaManager::NameSlotFree(PeerId reader,
+                                  const DocName& name) const {
+  // The slot is taken by the reader's own document or by a copy from
+  // another origin (the cache still serves repeated reads either way).
+  const Peer* holder = sys_->peer(reader);
+  return holder != nullptr && installed_.count({reader, name}) == 0 &&
+         !holder->HasDocument(name);
+}
+
 void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
                                          const DocName& name,
                                          TreePtr tree) {
-  Peer* holder = sys_->peer(reader);
-  // Skip when the local name is taken — by the reader's own document or
-  // by a copy from another origin (the cache still serves repeated reads
-  // either way).
-  if (holder == nullptr || installed_.count({reader, name}) > 0 ||
-      holder->HasDocument(name)) {
-    return;
-  }
+  if (!NameSlotFree(reader, name)) return;
   if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
     tr->Record("replica", "install", reader, 0, 0,
                ReplicaKey{origin, name}.ToString());
   }
-  holder->PutDocument(name, std::move(tree));
+  sys_->peer(reader)->PutDocument(name, std::move(tree));
   installed_[{reader, name}] = origin;
   if (sys_->catalog() != nullptr) {
     sys_->catalog()->Register(ResourceKind::kDocument, name, reader);
@@ -1536,19 +1538,21 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
                              ? live.count(k.shard) == 0
                              : e->origin_version != current;
       if (!stale) continue;
+      const uint64_t bytes = e->bytes;  // `e` dies with the erase
       // Evict listener unsubscribes + retracts advertisements.
       cache->Erase(k, /*invalidation=*/true);
       ++repairs;
       ++subscription_stats_.sweep_repairs;
       if (!k.is_shard_data()) dropped_doc = true;
       if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-        tr->Record("replica", "repair", holder, e->bytes, 0, k.ToString());
+        tr->Record("replica", "repair", holder, bytes, 0, k.ToString());
       }
     }
     // Surviving fresh complete copies whose name slot is free are
     // re-installed and re-advertised — a rejoining durable cache kept
-    // the content but lost its installation at crash time.
-    if (dest != nullptr) {
+    // the content but lost its installation at crash time. The slot is
+    // checked first: a copy built for a taken slot would be discarded.
+    if (dest != nullptr && NameSlotFree(holder, doc.name)) {
       const TransferCache::Entry* whole = cache->Peek(doc);
       if (whole != nullptr && whole->origin_version == current) {
         InstallAndAdvertise(holder, doc.origin, doc.name,

@@ -534,6 +534,8 @@ class ReplicaManager {
   /// blob). Shared tail of InsertCopy / InsertShardedCopy.
   void InstallAndAdvertise(PeerId reader, PeerId origin,
                            const DocName& name, TreePtr tree);
+  /// True when InstallAndAdvertise would install `name` at `reader`.
+  bool NameSlotFree(PeerId reader, const DocName& name) const;
 
   /// Caches one landed payload at `holder` via InsertCopy or
   /// InsertShardedCopy, whichever matches its shape.

@@ -8,7 +8,7 @@ LabelInterner& LabelInterner::Global() {
   // Deliberately leaked (raw new allowed here — see
   // scripts/check_source.py): trees may outlive every static
   // destruction order the linker could pick.
-  static LabelInterner* interner = new LabelInterner();
+  static LabelInterner* const interner = new LabelInterner();
   return *interner;
 }
 
@@ -71,7 +71,7 @@ void LabelInterner::ResetForTesting() {
 
 const WellKnownLabels& WellKnownLabels::Get() {
   // Leaked like the interner (allowed raw new, same reason).
-  static WellKnownLabels* labels = [] {
+  static const WellKnownLabels* const labels = [] {
     auto* l = new WellKnownLabels();
     l->sc = InternLabel("sc");
     l->peer = InternLabel("peer");

@@ -310,8 +310,8 @@ TEST_F(EvaluatorTest, SendAsDocInstallsAndAccumulates) {
   EXPECT_EQ(copy->label_text(), "i");
   EXPECT_EQ(copy->child_count(), 2u);  // its own text + appended tree
   // The new document is discoverable.
-  LookupResult found = sys_.catalog()->LookupNow(
-      ResourceKind::kDocument, "copy", p0_, sys_.network());
+  LookupResult found = testing::LookupSync(
+      *sys_.catalog(), ResourceKind::kDocument, "copy", p0_, sys_.network());
   ASSERT_EQ(found.holders.size(), 1u);
   EXPECT_EQ(found.holders[0], p1_);
 }
@@ -334,6 +334,17 @@ TEST_F(EvaluatorTest, ShipQueryInstallsService) {
                       {Expr::Tree(Parse(p2_, "<r><i/><i/></r>"), p2_)}));
   ASSERT_TRUE(call.ok()) << call.status();
   EXPECT_EQ(call->results.size(), 2u);
+}
+
+TEST_F(EvaluatorTest, UnnamedShippedQueriesAreNamedPerEvaluator) {
+  // Generated names depend only on the evaluator's own history, not on
+  // what other evaluators in the process shipped before.
+  Query q = Query::Parse("for $x in input(0)//i return $x").value();
+  for (PeerId dest : {p1_, p2_}) {
+    Evaluator ev(&sys_);
+    ASSERT_TRUE(ev.Eval(p0_, Expr::ShipQuery(dest, q, p0_, "")).ok());
+    EXPECT_NE(sys_.peer(dest)->GetService("shipped_q0"), nullptr);
+  }
 }
 
 TEST_F(EvaluatorTest, ShipQueryOfForeignQueryIsUndefined) {
@@ -407,19 +418,6 @@ TEST_F(EvaluatorTest, GenericDocPicksNearestReplica) {
   EXPECT_EQ(sys_.network().stats().Pair(p1_, p0_).bytes, 0u);
   // Discovery was charged.
   EXPECT_GT(sys_.network().stats().control_messages(), 0u);
-}
-
-TEST_F(EvaluatorTest, GenericDocWithoutDiscoveryCharge) {
-  NodeIdGen tmp;
-  TreePtr content = ParseXml("<cat/>", &tmp).value();
-  ASSERT_TRUE(sys_.InstallReplicatedDocument("ecat", "cat", content,
-                                             {p1_}).ok());
-  EvalOptions opts;
-  opts.charge_discovery = false;
-  Evaluator ev(&sys_, opts);
-  auto out = ev.Eval(p0_, Expr::GenericDoc("ecat"));
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(sys_.network().stats().control_messages(), 0u);
 }
 
 TEST_F(EvaluatorTest, GenericDocNoMembersFails) {

@@ -290,6 +290,22 @@ TEST(NetworkFaultTest, SendReliableAbandonsACrashedDestination) {
   EXPECT_FALSE(delivered);
 }
 
+TEST(NetworkFaultTest, ControlRoundtripAbandonsACrashedDestination) {
+  // The same give-up rule as SendReliable: a live requester does not
+  // re-ask a crashed peer forever. The abandon callback reports it, once.
+  EventLoop loop;
+  Network net(&loop, Topology(LinkParams{0.01, 1e6}));
+  net.SetPeerUp(PeerId(1), false);
+  bool done = false;
+  int abandoned = 0;
+  net.ControlRoundtrip(PeerId(0), PeerId(1), 2, 128, 0.05,
+                       [&] { done = true; }, [&] { ++abandoned; });
+  loop.Run();
+  EXPECT_FALSE(done);
+  EXPECT_EQ(abandoned, 1);
+  EXPECT_TRUE(loop.empty());
+}
+
 TEST(NetworkFaultTest, IdleInjectorIsByteIdenticalToNoInjector) {
   auto run = [](bool attach_injector) {
     EventLoop loop;

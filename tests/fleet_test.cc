@@ -141,6 +141,28 @@ TEST(FleetFaultTest, CentralBackendSurvivesChurnWithZeroStaleReads) {
   EXPECT_EQ(r.stale_reads, 0u) << r.ToString();
 }
 
+TEST(FleetFaultTest, ChurnWithLookupsTowardCrashedPeersDrains) {
+  // A fixed-seed schedule whose crash batch leaves lookups and control
+  // roundtrips aimed at crashed peers. Under the one give-up rule they
+  // are abandoned (a Chord hop is routed again from its last live node)
+  // instead of retried forever, so every Eval returns.
+  FleetConfig cfg;
+  cfg.topo.regions = 4;
+  cfg.topo.racks_per_region = 4;
+  cfg.topo.peers_per_rack = 64;  // 1024 peers
+  cfg.backend = FleetBackend::kChordDht;
+  cfg.origins = 16;
+  cfg.churn = true;
+  cfg.churn_peers = 20;
+  cfg.mutate_every = 4;
+  cfg.ops = 6000;
+  cfg.seed = 32;
+  FleetHarness fleet(cfg);
+  const FleetReport r = fleet.Run();
+  EXPECT_EQ(r.crashes, 20u) << r.ToString();
+  EXPECT_EQ(r.stale_reads, 0u) << r.ToString();
+}
+
 TEST(FleetSoakTest, ThousandPeerDhtFleetIsFresh) {
   if (std::getenv("AXML_FLEET_SOAK") == nullptr) {
     GTEST_SKIP() << "set AXML_FLEET_SOAK=1 to run the 1000-peer soak";

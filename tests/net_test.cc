@@ -8,9 +8,12 @@
 #include "net/event_loop.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "test_util.h"
 
 namespace axml {
 namespace {
+
+using testing::LookupSync;
 
 // --- EventLoop ---
 
@@ -338,32 +341,75 @@ TEST_F(CatalogKindTest, CentralChargesRoundTripToServer) {
   CentralCatalog cat(PeerId(0));
   cat.set_peer_count(10);
   cat.Register(ResourceKind::kDocument, "d", PeerId(3));
-  LookupResult r = cat.LookupNow(ResourceKind::kDocument, "d", PeerId(5),
-                                 net);
+  LookupResult r =
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(5), net);
   ASSERT_EQ(r.holders.size(), 1u);
   EXPECT_EQ(r.holders[0], PeerId(3));
   EXPECT_EQ(r.messages, 2u);
   EXPECT_NEAR(r.delay_s, 2 * (0.020 + 64.0 / 1e6), 1e-9);
   // Lookup from the server itself is (nearly) free.
-  LookupResult local = cat.LookupNow(ResourceKind::kDocument, "d",
-                                     PeerId(0), net);
+  LookupResult local =
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
   EXPECT_LT(local.delay_s, r.delay_s);
 }
 
-TEST_F(CatalogKindTest, DhtScalesLogarithmically) {
+TEST_F(CatalogKindTest, CentralLookupWithItsServerDownAnswersNoHolders) {
+  Network net(&loop_, Topology(LinkParams{0.020, 1e6}));
+  CentralCatalog cat(PeerId(0));
+  cat.set_peer_count(10);
+  cat.Register(ResourceKind::kDocument, "d", PeerId(3));
+  net.SetPeerUp(PeerId(0), false);
+  // Terminates (the roundtrip is not retried into the dead server) and
+  // still calls back exactly once.
+  LookupResult r =
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(5), net);
+  EXPECT_TRUE(r.holders.empty());
+  EXPECT_GT(net.stats().dropped_messages(), 0u);
+}
+
+TEST_F(CatalogKindTest, ChordLookupRoutesAroundANextHopThatCrashesMidRoute) {
   Network net(&loop_, Topology(LinkParams{0.010, 1e6}));
-  DhtCatalog cat;
-  cat.Register(ResourceKind::kService, "s", PeerId(1));
-  cat.set_peer_count(16);
-  LookupResult r16 = cat.LookupNow(ResourceKind::kService, "s", PeerId(0),
-                                   net);
-  cat.set_peer_count(1024);
-  LookupResult r1k = cat.LookupNow(ResourceKind::kService, "s", PeerId(0),
-                                   net);
-  EXPECT_EQ(r16.messages, 5u);   // log2(16)=4 hops + response
-  EXPECT_EQ(r1k.messages, 11u);  // log2(1024)=10 hops + response
-  EXPECT_LT(r16.delay_s, r1k.delay_s);
-  ASSERT_EQ(r1k.holders.size(), 1u);
+  ChordDhtCatalog cat;
+  cat.set_peer_count(64);
+  cat.Register(ResourceKind::kDocument, "d", PeerId(7));
+  // A requester whose lookup takes at least two routing hops, so its
+  // first hop is an intermediate node, not the responsible one.
+  PeerId from = PeerId::Invalid();
+  LookupResult clean;
+  for (uint32_t f = 0; f < 64 && !from.is_concrete(); ++f) {
+    clean = LookupSync(cat, ResourceKind::kDocument, "d", PeerId(f), net);
+    if (clean.messages >= 3) from = PeerId(f);
+  }
+  ASSERT_TRUE(from.is_concrete());
+  // The first hop is the first node to record load.
+  cat.ResetStats();
+  cat.Lookup(ResourceKind::kDocument, "d", from, &net,
+             [](const LookupResult&) {});
+  ASSERT_TRUE(loop_.RunOne());
+  ASSERT_EQ(cat.node_load().size(), 1u);
+  const PeerId first(cat.node_load().begin()->first);
+  loop_.Run();
+
+  // Replay, crashing the first hop while the request is on its way.
+  cat.ResetStats();
+  int calls = 0;
+  LookupResult got;
+  cat.Lookup(ResourceKind::kDocument, "d", from, &net,
+             [&](const LookupResult& r) {
+               ++calls;
+               got = r;
+             });
+  net.SetPeerUp(first, false);
+  cat.SetPeerLive(first, false);
+  loop_.Run();
+  EXPECT_EQ(calls, 1);
+  // Routed again from the requester around the crashed peer: the
+  // answer still carries the holder, and the dead node handled nothing.
+  ASSERT_EQ(got.holders.size(), 1u);
+  EXPECT_EQ(got.holders[0], PeerId(7));
+  EXPECT_EQ(cat.node_load().count(first.index()), 0u);
+  EXPECT_EQ(net.stats().dropped_messages(), 1u);
+  EXPECT_GT(got.messages, 1u);
 }
 
 TEST_F(CatalogKindTest, FloodVisitsNeighborGraph) {
@@ -376,8 +422,8 @@ TEST_F(CatalogKindTest, FloodVisitsNeighborGraph) {
   FloodCatalog cat(/*ttl=*/7);
   cat.set_peer_count(4);
   cat.Register(ResourceKind::kDocument, "d", PeerId(3));
-  LookupResult r = cat.LookupNow(ResourceKind::kDocument, "d", PeerId(0),
-                                 net);
+  LookupResult r =
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
   ASSERT_EQ(r.holders.size(), 1u);
   EXPECT_EQ(r.holders[0], PeerId(3));
   EXPECT_GE(r.messages, 3u);  // every edge crossed at least once
@@ -393,8 +439,8 @@ TEST_F(CatalogKindTest, FloodTtlLimitsReach) {
   FloodCatalog cat(/*ttl=*/2);
   cat.set_peer_count(4);
   cat.Register(ResourceKind::kDocument, "d", PeerId(3));
-  LookupResult r = cat.LookupNow(ResourceKind::kDocument, "d", PeerId(0),
-                                 net);
+  LookupResult r =
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
   EXPECT_TRUE(r.holders.empty());  // peer 3 is 3 hops away, TTL is 2
 }
 
@@ -421,13 +467,13 @@ TEST_F(CatalogKindTest, UnregisterRemovesHolder) {
   cat.Register(ResourceKind::kDocument, "d", PeerId(1));
   cat.Register(ResourceKind::kDocument, "d", PeerId(2));
   cat.Unregister(ResourceKind::kDocument, "d", PeerId(1));
-  LookupResult r = cat.LookupNow(ResourceKind::kDocument, "d", PeerId(3),
-                                 net);
+  LookupResult r =
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(3), net);
   ASSERT_EQ(r.holders.size(), 1u);
   EXPECT_EQ(r.holders[0], PeerId(2));
   // Unknown resources return no holders but still cost a lookup.
-  LookupResult miss = cat.LookupNow(ResourceKind::kDocument, "zz",
-                                    PeerId(3), net);
+  LookupResult miss =
+      LookupSync(cat, ResourceKind::kDocument, "zz", PeerId(3), net);
   EXPECT_TRUE(miss.holders.empty());
   EXPECT_GT(miss.messages, 0u);
 }
@@ -437,7 +483,7 @@ TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
   // The round-trip contract is implementation-independent; check it on
   // all three catalog structures.
   CentralCatalog central(PeerId(0));
-  DhtCatalog dht;
+  ChordDhtCatalog dht;
   FloodCatalog flood;
   for (Catalog* cat :
        std::initializer_list<Catalog*>{&central, &dht, &flood}) {
@@ -452,7 +498,7 @@ TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
     // Document and service namespaces are disjoint.
     EXPECT_FALSE(cat->IsAdvertised(ResourceKind::kService, "d", PeerId(1)));
     LookupResult r =
-        cat->LookupNow(ResourceKind::kDocument, "d", PeerId(2), net);
+        LookupSync(*cat, ResourceKind::kDocument, "d", PeerId(2), net);
     ASSERT_EQ(r.holders.size(), 1u);
     EXPECT_EQ(r.holders[0], PeerId(1));
     cat->Unregister(ResourceKind::kDocument, "d", PeerId(1));
@@ -460,7 +506,7 @@ TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
     EXPECT_EQ(cat->HolderCount(ResourceKind::kDocument, "d"), 0u);
     // Unregistering an absent holder is a no-op.
     cat->Unregister(ResourceKind::kDocument, "d", PeerId(1));
-    EXPECT_TRUE(cat->LookupNow(ResourceKind::kDocument, "d", PeerId(2), net)
+    EXPECT_TRUE(LookupSync(*cat, ResourceKind::kDocument, "d", PeerId(2), net)
                     .holders.empty());
   }
 }

@@ -318,12 +318,12 @@ TEST(SystemTest, InstallRegistersInCatalog) {
   ASSERT_TRUE(sys.InstallDocumentXml(a, "d", "<x/>").ok());
   Query q = Query::Parse("for $x in input(0) return $x").value();
   ASSERT_TRUE(sys.InstallService(b, Service::Declarative("s", q)).ok());
-  LookupResult docs = sys.catalog()->LookupNow(
-      ResourceKind::kDocument, "d", b, sys.network());
+  LookupResult docs = testing::LookupSync(
+      *sys.catalog(), ResourceKind::kDocument, "d", b, sys.network());
   ASSERT_EQ(docs.holders.size(), 1u);
   EXPECT_EQ(docs.holders[0], a);
-  LookupResult svcs = sys.catalog()->LookupNow(
-      ResourceKind::kService, "s", a, sys.network());
+  LookupResult svcs = testing::LookupSync(
+      *sys.catalog(), ResourceKind::kService, "s", a, sys.network());
   ASSERT_EQ(svcs.holders.size(), 1u);
   EXPECT_EQ(svcs.holders[0], b);
 }

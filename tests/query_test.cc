@@ -141,6 +141,11 @@ struct BadQueryCase {
   const char* text;
 };
 
+// Prints the case name, so gtest's "# GetParam() = ..." suffix (which
+// CTest folds into the discovered test name) is the same on every run
+// instead of the pointer bytes that change with address randomisation.
+void PrintTo(const BadQueryCase& c, std::ostream* os) { *os << c.name; }
+
 class AqlParserErrorTest : public ::testing::TestWithParam<BadQueryCase> {};
 
 TEST_P(AqlParserErrorTest, Rejects) {

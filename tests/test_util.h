@@ -7,8 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "net/catalog.h"
+#include "net/network.h"
 #include "xml/tree.h"
 #include "xml/tree_equal.h"
 
@@ -24,6 +27,23 @@ inline uint64_t TestSeed(uint64_t fallback) {
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(s, &end, 10);
   return end == s ? fallback : static_cast<uint64_t>(parsed);
+}
+
+/// Looks `name` up through `cat` from `from` and runs `net`'s event loop
+/// until it drains; returns what the lookup called back with. Every
+/// lookup must call back exactly once.
+inline LookupResult LookupSync(CatalogBackend& cat, ResourceKind kind,
+                               const std::string& name, PeerId from,
+                               Network& net) {
+  LookupResult out;
+  int calls = 0;
+  cat.Lookup(kind, name, from, &net, [&](const LookupResult& r) {
+    out = r;
+    ++calls;
+  });
+  net.loop()->Run();
+  AXML_CHECK_EQ(calls, 1);
+  return out;
 }
 
 /// Builds a product-catalog document:

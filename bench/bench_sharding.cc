@@ -289,9 +289,10 @@ void BM_Sharding_NotifyFanout(benchmark::State& state) {
       s.content = sd->shards[i].content->Clone(sys->peer(holders[h])->gen());
       slice.push_back(std::move(s));
     }
-    if (!sys->replicas().InsertShardedCopy(
+    if (!sys->replicas().InsertCopy(
             holders[h], origin, "d",
-            sd->manifest->Clone(sys->peer(holders[h])->gen()), slice,
+            {.manifest = sd->manifest->Clone(sys->peer(holders[h])->gen()),
+             .shards = std::move(slice)},
             version)) {
       state.SkipWithError("partial seed refused");
       return;

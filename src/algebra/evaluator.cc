@@ -285,70 +285,25 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
     return;
   }
   const DocName doc_name = e->doc_name();
-  // Documents above the sharding threshold read through the shard
-  // layer: full assemblies from resident shards, delta fetches for the
-  // rest. Everything else keeps the whole-document replica path — a
-  // fresh whole-document copy included (e.g. cached before sharding was
-  // enabled): the cost model prices that copy at zero, so the read must
-  // serve it rather than re-fetch the document as shards.
-  const bool sharded_read =
-      owner != ctx && options_.use_replica_cache &&
-      sys_->replicas().ShardedReadApplies(owner, doc_name) &&
-      !sys_->replicas().HasFreshWholeCopy(ctx, owner, doc_name);
-  if (owner != ctx && options_.use_replica_cache) {
-    if (sharded_read) {
-      // Shard fast path: manifest fresh and every data shard resident —
-      // the document assembles locally for 0 wire bytes. The assembly
-      // is freshly minted, so it is emitted without another clone.
-      if (TreePtr assembled =
-              sys_->replicas().LookupShardedFresh(ctx, owner, doc_name)) {
-        ++counters_.sharded_hits;
-        if (Tracer& tr = sys_->tracer(); tr.enabled()) {
-          tr.Record("eval", "shard_hit", ctx, 0, 0,
-                    StrCat(doc_name, "@", owner.ToString()));
-        }
-        Trace(StrCat("replica-shard-hit ", doc_name, "@",
-                     owner.ToString(), " assembled at ", ctx.ToString(),
-                     " (0B on the wire)"));
-        sys_->loop().Post(
-            [assembled = std::move(assembled), emit = std::move(emit)] {
-              emit(assembled);
-            });
-        return;
-      }
-    } else if (TreePtr copy = sys_->replicas().LookupFresh(ctx, owner,
-                                                           doc_name)) {
-      // Replica fast path: a fresh cached copy of the remote document is
-      // read locally — a transfer the cache's hit stats account for. A
-      // stale copy is dropped by this very lookup (versioned
-      // invalidation) and the read falls through to the wire.
-      ++counters_.replica_hits;
+  const bool copy_read = owner != ctx && options_.use_replica_cache;
+  if (copy_read) {
+    // Replica fast path: a fresh copy of the remote document is read
+    // locally — a transfer the cache's hit stats account for. A stale
+    // copy is dropped by this very read (versioned invalidation) and the
+    // read falls through to the wire. The copy is a private instance, as
+    // the ship this hit replaces would have delivered (§3.2: sends copy
+    // their data-model instances): consumers never hold a cache blob.
+    CopyLayout layout = CopyLayout::kWhole;
+    if (TreePtr fresh =
+            sys_->replicas().ReadFresh(ctx, owner, doc_name, &layout)) {
+      const bool whole = layout == CopyLayout::kWhole;
+      ++(whole ? counters_.replica_hits : counters_.sharded_hits);
       if (Tracer& tr = sys_->tracer(); tr.enabled()) {
-        tr.Record("eval", "replica_hit", ctx, 0, 0,
+        tr.Record("eval", whole ? "replica_hit" : "shard_hit", ctx, 0, 0,
                   StrCat(doc_name, "@", owner.ToString()));
       }
       Trace(StrCat("replica-hit ", doc_name, "@", owner.ToString(),
                    " read at ", ctx.ToString(), " (0B on the wire)"));
-      // Deliver a private instance, as the ship this hit replaces would
-      // have (§3.2: sends copy their data-model instances). Consumers
-      // must never hold the cache blob itself — a same-peer send could
-      // graft and later mutate it behind its digest. The cache keeps the
-      // received wire bytes, so the "copy" is a decode of those bytes —
-      // the same operation a fresh transfer would have performed.
-      Peer* reader = sys_->peer(ctx);
-      TreePtr fresh;
-      const TransferCache* cache = sys_->replicas().FindCache(ctx);
-      const std::string* enc =
-          cache == nullptr
-              ? nullptr
-              : cache->PeekEncoded(ReplicaKey{owner, doc_name});
-      if (enc != nullptr) {
-        Result<TreePtr> decoded =
-            wire::DecodeTree(*enc, reader->gen(), &sys_->wire_stats());
-        AXML_DCHECK(decoded.ok());
-        if (decoded.ok()) fresh = std::move(decoded).value();
-      }
-      if (fresh == nullptr) fresh = copy->Clone(reader->gen());
       sys_->loop().Post(
           [fresh = std::move(fresh), emit = std::move(emit)] {
             emit(fresh);
@@ -392,46 +347,6 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
     inflight_.emplace(std::make_tuple(ctx, owner, doc_name),
                       std::vector<EmitFn>{});
   }
-  if (sharded_read) {
-    // Delta fetch: only the stale manifest and the shards this reader
-    // lacks cross the wire; resident shards serve locally. The landing
-    // caches + installs the copy and hands back the assembled document,
-    // which stands in for the whole-document `landed` below.
-    uint64_t delta = 0;
-    const bool launched = sys_->replicas().FetchForRead(
-        ctx, owner, doc_name,
-        [this, ctx, owner, doc_name, emit](TreePtr assembled) {
-          std::vector<EmitFn> waiters;
-          auto flight = inflight_.find({ctx, owner, doc_name});
-          if (flight != inflight_.end()) {
-            waiters = std::move(flight->second);
-            inflight_.erase(flight);
-          }
-          if (assembled == nullptr) {
-            Fail(Status::NotFound(StrCat("sharded read of \"", doc_name,
-                                         "\" failed to assemble")));
-            return;
-          }
-          NodeIdGen* gen = sys_->peer(ctx)->gen();
-          const uint64_t bytes = wire::EncodedTreeSize(*assembled);
-          emit(assembled);
-          for (EmitFn& w : waiters) {
-            sys_->replicas().CacheFor(ctx)->RecordCoalescedHit(bytes);
-            w(assembled->Clone(gen));
-          }
-        },
-        &delta);
-    if (launched) {
-      ++counters_.sharded_fetches;
-      Trace(StrCat("replica-shard-fetch ", doc_name, "@",
-                   owner.ToString(), " -> ", ctx.ToString(), " ", delta,
-                   "B delta"));
-      return;
-    }
-    // The document vanished between the probe and the fetch; the
-    // whole-document path below raises the error.
-    inflight_.erase({ctx, owner, doc_name});
-  }
   TreePtr root = host->GetDocument(doc_name);
   if (root == nullptr) {
     inflight_.erase({ctx, owner, doc_name});
@@ -439,64 +354,68 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                                  "\" not found on ", host->name())));
     return;
   }
+  // The transfer's landing: the reader that triggered it gets the copy,
+  // and every reader that coalesced onto it gets its own instance.
+  EmitFn land = [this, owner, ctx, doc_name, emit](TreePtr copy) {
+    std::vector<EmitFn> waiters;
+    auto flight = inflight_.find({ctx, owner, doc_name});
+    if (flight != inflight_.end()) {
+      waiters = std::move(flight->second);
+      inflight_.erase(flight);
+    }
+    if (copy == nullptr) {
+      Fail(Status::NotFound(StrCat("read of \"", doc_name, "\"@",
+                                   owner.ToString(), " never landed")));
+      return;
+    }
+    emit(copy);
+    if (waiters.empty()) return;
+    NodeIdGen* gen = sys_->peer(ctx)->gen();
+    const uint64_t bytes = wire::EncodedTreeSize(*copy);
+    for (EmitFn& w : waiters) {
+      sys_->replicas().CacheFor(ctx)->RecordCoalescedHit(bytes);
+      w(copy->Clone(gen));
+    }
+  };
+  if (copy_read && !root->ContainsServiceCall()) {
+    // Rule (13): the transferred tree becomes a local copy, so later
+    // reads (here or via d@any) hit it. Whether it travels whole or as a
+    // shard delta is the replica layer's business. A top-level remote
+    // read roots its own causal chain (unless already inside one).
+    Tracer& tr = sys_->tracer();
+    Tracer::Scope trace_scope(&tr, tr.CurrentOrNew());
+    if (tr.enabled()) {
+      tr.Record("eval", "fetch", ctx, wire::EncodedTreeSize(*root), 0,
+                StrCat(doc_name, "@", owner.ToString()));
+    }
+    CopyLayout layout = CopyLayout::kWhole;
+    if (!sys_->replicas().Fetch(ctx, owner, doc_name, std::move(land),
+                                &layout)) {
+      Fail(Status::Internal(StrCat("fetch of \"", doc_name, "\"@",
+                                   owner.ToString(), " did not start")));
+      return;
+    }
+    // The layout only files the counter; the read is the same either way.
+    ++(layout == CopyLayout::kWhole ? counters_.remote_fetches
+                                    : counters_.sharded_fetches);
+    Trace(StrCat("replica-fetch ", doc_name, "@", owner.ToString(), " -> ",
+                 ctx.ToString()));
+    return;
+  }
+  // No copy results: a local read, a read with the cache off, or a
+  // document whose service calls a copy would freeze.
   EmitFn deliver =
       owner == ctx
           ? std::move(emit)
-          : EmitFn([this, owner, ctx, doc_name, emit](TreePtr t) {
+          : EmitFn([this, owner, ctx, doc_name, land](TreePtr t) {
               ++counters_.remote_fetches;
-              // A top-level remote read roots its own causal chain
-              // (unless already inside one); the Ship's network Send
-              // carries the id to the landing — cache insert and
-              // install included.
               Tracer& tr = sys_->tracer();
               Tracer::Scope trace_scope(&tr, tr.CurrentOrNew());
               if (tr.enabled()) {
                 tr.Record("eval", "fetch", ctx, wire::EncodedTreeSize(*t),
                           0, StrCat(doc_name, "@", owner.ToString()));
               }
-              // Ship clones the content now; remember which origin
-              // version that snapshot corresponds to (a mutation during
-              // the wire delay must not brand it fresh).
-              const uint64_t snap_version =
-                  sys_->replicas().Version(owner, doc_name);
-              Ship(owner, ctx, t, [this, owner, ctx, doc_name,
-                                   snap_version, emit](TreePtr landed) {
-                // Materialize the transferred tree as a replica: later
-                // reads (here or via d@any) hit the copy. Trees still
-                // carrying service calls are excluded — a copy freezes
-                // their activation state.
-                // The landed clone becomes the cache blob (and the
-                // installed local copy); every consumer — the reader
-                // that triggered the transfer and any coalesced
-                // waiters — gets its own clone of it, mirroring what a
-                // per-reader ship would have delivered.
-                bool cached = false;
-                if (options_.use_replica_cache &&
-                    !landed->ContainsServiceCall()) {
-                  cached = sys_->replicas().InsertCopy(
-                      ctx, owner, doc_name, landed, snap_version);
-                  if (cached) {
-                    Trace(StrCat("replica-insert ", doc_name, "@",
-                                 owner.ToString(), " cached at ",
-                                 ctx.ToString()));
-                  }
-                }
-                NodeIdGen* gen = sys_->peer(ctx)->gen();
-                emit(cached ? landed->Clone(gen) : landed);
-                // Wake the readers that coalesced onto this transfer.
-                auto flight = inflight_.find({ctx, owner, doc_name});
-                if (flight != inflight_.end()) {
-                  std::vector<EmitFn> waiters =
-                      std::move(flight->second);
-                  inflight_.erase(flight);
-                  const uint64_t bytes = wire::EncodedTreeSize(*landed);
-                  for (EmitFn& w : waiters) {
-                    sys_->replicas().CacheFor(ctx)->RecordCoalescedHit(
-                        bytes);
-                    w(landed->Clone(gen));
-                  }
-                }
-              });
+              Ship(owner, ctx, t, land);
             });
   if (root->ContainsServiceCall()) {
     // Lazy activation (§2.2): the query needs the document's value, so
@@ -614,9 +533,9 @@ Evaluator::ParamSink Evaluator::StartServiceInstance(
         svc.query().ast(), host->AsDocResolver(), typed_result,
         host->gen());
     retained_.push_back(instance);
-    Status s = (*instance)->Start();
-    if (!s.ok()) {
-      Fail(std::move(s));
+    Status started = (*instance)->Start();
+    if (!started.ok()) {
+      Fail(std::move(started));
       return nullptr;
     }
     return [this, instance, host](int i, TreePtr t) {
@@ -888,8 +807,8 @@ void Evaluator::DeployShipQuery(PeerId ctx, const ExprPtr& e, EmitFn) {
       wire::EncodeText(wire::MessageClass::kQuery, q.text(),
                        &sys_->wire_stats()),
       [this, to, name](const wire::Payload& p) {
-        Peer* target = sys_->peer(to);
-        if (target == nullptr) return;
+        Peer* installer = sys_->peer(to);
+        if (installer == nullptr) return;
         // The service re-materializes from the wire text: the canonical
         // form Parse()s back to an equal query, so the shipped bytes are
         // the installed definition — no in-process alias survives.
@@ -899,12 +818,12 @@ void Evaluator::DeployShipQuery(PeerId ctx, const ExprPtr& e, EmitFn) {
         Result<Query> parsed = Query::Parse(*text);
         AXML_DCHECK(parsed.ok());
         if (!parsed.ok()) return;
-        target->PutService(
+        installer->PutService(
             Service::Declarative(name, std::move(parsed).value()));
         if (sys_->catalog() != nullptr) {
           sys_->catalog()->Register(ResourceKind::kService, name, to);
         }
-        Trace(StrCat("installed service ", name, "@", target->name()));
+        Trace(StrCat("installed service ", name, "@", installer->name()));
       });
 }
 

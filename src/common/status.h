@@ -92,6 +92,9 @@ inline std::ostream& operator<<(std::ostream& os, const Status& s) {
   return os << s.ToString();
 }
 
+/// The OK status Result::status() refers to.
+inline const Status kOkStatus;
+
 /// A value-or-error sum type, in the spirit of arrow::Result.
 ///
 ///   Result<Document> r = ParseDocument(text);
@@ -110,8 +113,7 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(v_); }
 
   const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(v_);
+    return ok() ? kOkStatus : std::get<Status>(v_);
   }
 
   const T& value() const& {

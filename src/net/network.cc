@@ -35,15 +35,6 @@ void Network::Send(PeerId from, PeerId to, uint64_t bytes,
   ScheduleDelivery(from, to, bytes, std::move(on_deliver), "msg");
 }
 
-void Network::SendNotify(PeerId from, PeerId to, uint64_t bytes,
-                         DeliverFn on_deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  AXML_CHECK(from.is_concrete());
-  AXML_CHECK(to.is_concrete());
-  stats_.RecordNotify(from, to, bytes);
-  ScheduleDelivery(from, to, bytes, std::move(on_deliver), "notify");
-}
-
 void Network::SendReliable(PeerId from, PeerId to, uint64_t bytes,
                            DeliverFn on_deliver) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
@@ -67,12 +58,19 @@ void Network::Send(PeerId from, PeerId to, wire::Payload payload,
 
 void Network::SendNotify(PeerId from, PeerId to, wire::Payload payload,
                          PayloadDeliverFn on_deliver) {
+  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+  AXML_CHECK(from.is_concrete());
+  AXML_CHECK(to.is_concrete());
   auto p = std::make_shared<const wire::Payload>(std::move(payload));
   const uint64_t bytes = p->size();
   AXML_DCHECK(p->message_class() == wire::MessageClass::kNotify);
   stats_.RecordPayload(p->message_class(), bytes);
-  SendNotify(from, to, bytes,
-             CarryPayload(std::move(p), std::move(on_deliver)));
+  // Tallied as replica-invalidation notify traffic
+  // (NetStats::notify_messages/bytes) on top of the link accounting.
+  stats_.RecordNotify(from, to, bytes);
+  ScheduleDelivery(from, to, bytes,
+                   CarryPayload(std::move(p), std::move(on_deliver)),
+                   "notify");
 }
 
 void Network::SendReliable(PeerId from, PeerId to, wire::Payload payload,

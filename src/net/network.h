@@ -58,6 +58,8 @@ class Network {
   /// closed-form benches) that never materializes bytes.
   void Send(PeerId from, PeerId to, wire::Payload payload,
             PayloadDeliverFn on_deliver);
+  /// Like Send, but also tallied as replica-invalidation notify traffic
+  /// (NetStats::notify_messages/bytes).
   void SendNotify(PeerId from, PeerId to, wire::Payload payload,
                   PayloadDeliverFn on_deliver);
   void SendReliable(PeerId from, PeerId to, wire::Payload payload,
@@ -68,11 +70,6 @@ class Network {
   void ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
                         wire::Payload payload, uint64_t response_bytes,
                         SimTime delay, DeliverFn on_done);
-
-  /// Like Send, but tallied as replica-invalidation notify traffic
-  /// (NetStats::notify_messages/bytes) on top of the link accounting.
-  void SendNotify(PeerId from, PeerId to, uint64_t bytes,
-                  DeliverFn on_deliver);
 
   /// Like Send, but retransmits deterministically (after a fixed
   /// retransmission timeout of about one RTT) whenever the fabric drops

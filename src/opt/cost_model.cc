@@ -156,29 +156,15 @@ double CostModel::RefetchCost(PeerId reader, PeerId owner,
 CostEstimate CostModel::DocTransferCost(PeerId reader, PeerId owner,
                                         const DocName& name,
                                         double bytes) const {
-  // ExpectedFresh, not HasFresh: under RefreshPolicy::kEagerRefresh a
-  // mutation drops the copy but its replacement is already on the wire —
-  // the fresh-copy assumption plans are priced on does not decay at
-  // mutation time. (Under kDrop/kLazy the two probes agree.)
-  if (assume_replica_cache_) {
-    if (sys_->replicas().ExpectedFresh(reader, owner, name)) {
-      return CostEstimate{};  // a cache hit costs 0 bytes on the wire
-    }
-    // Partial sharded copies pay only for what is missing: the stale
-    // manifest plus the non-resident data shards. A peer holding most
-    // of a document's shards reads it almost for free, so the optimizer
-    // prefers routing the read there over a cold peer. The delta is
-    // clamped to the plain transfer: shard wrappers and nested
-    // sub-manifests carry overhead, so a *cold* delta can exceed the
-    // raw document size — but a partial copy must never be priced above
-    // the whole-document transfer it replaces.
-    uint64_t delta = 0;
-    if (sys_->replicas().ShardedDeltaBytes(reader, owner, name, &delta)) {
-      return TransferCost(owner, reader,
-                          std::min(static_cast<double>(delta), bytes));
-    }
-  }
-  return TransferCost(owner, reader, bytes);
+  if (!assume_replica_cache_) return TransferCost(owner, reader, bytes);
+  // The replica layer knows what the read would move right now: nothing
+  // for a fresh copy (or one an eager refresh is re-materializing — the
+  // fresh-copy assumption plans are priced on does not decay at mutation
+  // time), only the missing pieces of a partial sharded copy, else the
+  // whole document.
+  const double moved =
+      sys_->replicas().ReadTransferBytes(reader, owner, name, bytes);
+  return moved == 0 ? CostEstimate{} : TransferCost(owner, reader, moved);
 }
 
 CostEstimate CostModel::Estimate(PeerId at, const ExprPtr& e) const {

@@ -107,12 +107,14 @@ class CostModel {
   double RefetchCost(PeerId reader, PeerId owner, uint64_t bytes) const;
 
   /// Cache-state-aware transfer estimate for reading document
-  /// `name`@owner from `reader`: under assume_replica_cache, a fresh
-  /// cached copy at the reader makes the read local — 0 bytes on the
-  /// wire (the replica subsystem's whole point; rule (13) becomes a
-  /// cost-based decision through this). An eager-refresh shipment in
-  /// flight counts as fresh too: the mutation that displaced the copy
-  /// already paid for its replacement.
+  /// `name`@owner from `reader`: under assume_replica_cache, it prices
+  /// the bytes the replica layer says the read would move
+  /// (ReplicaManager::ReadTransferBytes). A fresh cached copy at the
+  /// reader makes the read local — 0 bytes on the wire (the replica
+  /// subsystem's whole point; rule (13) becomes a cost-based decision
+  /// through this). An eager-refresh shipment in flight counts as fresh
+  /// too: the mutation that displaced the copy already paid for its
+  /// replacement.
   CostEstimate DocTransferCost(PeerId reader, PeerId owner,
                                const DocName& name, double bytes) const;
 

@@ -43,6 +43,69 @@ wire::WireStats* WireStatsOf(AxmlSystem* sys) {
   return sys == nullptr ? nullptr : &sys->wire_stats();
 }
 
+/// A complete fresh copy of one document resident in a holder's cache,
+/// seen without side effects: the fresh whole-document entry, or a
+/// fresh manifest whose every data shard is resident.
+struct ResidentCopy {
+  const TransferCache::Entry* whole = nullptr;
+  const TransferCache::Entry* manifest = nullptr;
+  /// (id, entry) per manifest reference, in manifest order.
+  std::vector<std::pair<std::string, const TransferCache::Entry*>> shards;
+  /// Content bytes: the whole blob, or the sum over `shards`.
+  uint64_t bytes = 0;
+};
+
+/// Fills `copy` when `cache` holds a complete copy of document `doc`
+/// at version `current`, preferring a whole entry. The one completeness
+/// rule that reads, pricing, installs and reconciliation share.
+bool FindResidentCopy(const TransferCache& cache, const ReplicaKey& doc,
+                      uint64_t current, ResidentCopy* copy) {
+  const TransferCache::Entry* whole = cache.Peek(doc);
+  if (whole != nullptr && whole->origin_version == current) {
+    *copy = ResidentCopy{};
+    copy->whole = whole;
+    copy->bytes = whole->bytes;
+    return true;
+  }
+  const TransferCache::Entry* m =
+      cache.Peek(ManifestKey(doc.origin, doc.name));
+  if (m == nullptr || m->origin_version != current) return false;
+  ResidentCopy found;
+  found.manifest = m;
+  for (std::string& id : ManifestShardIds(*m->tree)) {
+    const TransferCache::Entry* e =
+        cache.Peek(ReplicaKey{doc.origin, doc.name, id});
+    if (e == nullptr) return false;
+    found.bytes += e->bytes;
+    found.shards.emplace_back(std::move(id), e);
+  }
+  *copy = std::move(found);
+  return true;
+}
+
+/// Assembles the document `manifest` describes from `parts` (id ->
+/// shard blob) into fresh nodes minted by `gen`.
+TreePtr Assemble(const TreeNode& manifest,
+                 const std::map<std::string, TreePtr>& parts,
+                 NodeIdGen* gen) {
+  return AssembleDocument(
+      manifest,
+      [&parts](const std::string& id) -> TreePtr {
+        auto it = parts.find(id);
+        return it == parts.end() ? nullptr : it->second;
+      },
+      gen);
+}
+
+/// A private instance of a resident copy: the whole blob cloned, or the
+/// shards assembled — either way minted by `gen`, never a cache blob.
+TreePtr Materialize(const ResidentCopy& copy, NodeIdGen* gen) {
+  if (copy.whole != nullptr) return copy.whole->tree->Clone(gen);
+  std::map<std::string, TreePtr> parts;
+  for (const auto& [id, e] : copy.shards) parts.emplace(id, e->tree);
+  return Assemble(*copy.manifest->tree, parts, gen);
+}
+
 }  // namespace
 
 std::string ShardStats::ToString() const {
@@ -212,60 +275,91 @@ const TransferCache* ReplicaManager::FindCache(PeerId peer) const {
 }
 
 bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
-                                const DocName& name, const TreePtr& landed,
-                                uint64_t snapshot_version,
-                                std::string encoded) {
+                                const DocName& name, const LandedCopy& landed,
+                                uint64_t snapshot_version) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
+  if (sys_ == nullptr || reader == origin || !origin.is_concrete() ||
+      sys_->peer(reader) == nullptr) {
     return false;
   }
-  Peer* holder = sys_->peer(reader);
-  if (holder == nullptr || landed == nullptr) return false;
+  if (landed.whole == nullptr && landed.manifest == nullptr) return false;
   if (snapshot_version != Version(origin, name)) {
     return false;  // the origin moved on while the copy was on the wire
   }
 
-  const ReplicaKey key{origin, name};
   TransferCache* cache = CacheFor(reader);
-  // Put retracts an older copy of the same key first (evict listener), so
-  // the install guard below sees a clean slot.
-  if (!cache->Put(key, landed, DigestOf(*landed), snapshot_version,
-                  std::move(encoded))) {
-    return false;  // over budget: not worth caching
+  // The origin now owes this reader a push on every mutation of each
+  // cached key (cache-only copies included: they serve reads too and
+  // must not go stale silently). Put retracts an older copy of the same
+  // key first (evict listener), so the install below sees a clean slot.
+  if (landed.whole != nullptr) {
+    const ReplicaKey key{origin, name};
+    if (!cache->Put(key, landed.whole, DigestOf(*landed.whole),
+                    snapshot_version, landed.whole_encoded) ||
+        cache->Peek(key) == nullptr) {
+      return false;  // over budget: not worth caching
+    }
+    subscriptions_.Subscribe(key, reader);
+  } else {
+    const ReplicaKey mkey = ManifestKey(origin, name);
+    // Re-Putting an identical fresh manifest would churn the evict
+    // listener (retract + re-advertise) for nothing — skip it.
+    const TransferCache::Entry* resident = cache->Peek(mkey);
+    const ContentDigest mdigest = DigestOf(*landed.manifest);
+    if ((resident == nullptr || resident->origin_version != snapshot_version ||
+         !(resident->digest == mdigest)) &&
+        !cache->Put(mkey, landed.manifest, mdigest, snapshot_version)) {
+      return false;  // manifest alone over budget: nothing to anchor on
+    }
+    // Each data shard that survives its Put subscribes under its exact
+    // key (a later Put may evict it again — the evict listener
+    // unsubscribes then), so mutation fan-out can skip this holder while
+    // its pieces stay referenced. Budget refusals are fine — the copy
+    // stays partial and later reads fetch the gap again.
+    for (const DocumentShard& s : landed.shards) {
+      const ReplicaKey skey = ShardDataKey(origin, name, s.id);
+      if (cache->Put(skey, s.content, s.id, kImmutableVersion) &&
+          cache->Peek(skey) != nullptr) {
+        subscriptions_.Subscribe(skey, reader);
+      }
+    }
+    // The shard Puts may have evicted the manifest right back out; the
+    // surviving shards stay resident (and subscribed) for future deltas.
+    if (cache->Peek(mkey) == nullptr) return false;
+    subscriptions_.Subscribe(mkey, reader);
   }
-  const TransferCache::Entry* entry = cache->Peek(key);
-  if (entry == nullptr) return false;  // evicted immediately by the budget
-
-  // The origin now owes this reader a push on every mutation of `name`
-  // (cache-only copies included: they serve reads too and must not go
-  // stale silently).
-  subscriptions_.Subscribe(key, reader);
-
-  // Install + advertise. The installed document is a *clone*: local
-  // reads hand trees out unshared-with-the-cache, so no consumer can
-  // mutate the content-addressed blob behind its digest.
-  InstallAndAdvertise(reader, origin, name, entry->tree->Clone(holder->gen()));
+  // Only a complete copy is installed; a partial one serves delta reads
+  // but must never be read by name.
+  InstallAndAdvertise(reader, origin, name);
   return true;
 }
 
-bool ReplicaManager::NameSlotFree(PeerId reader,
-                                  const DocName& name) const {
+void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
+                                         const DocName& name) {
   // The slot is taken by the reader's own document or by a copy from
   // another origin (the cache still serves repeated reads either way).
-  const Peer* holder = sys_->peer(reader);
-  return holder != nullptr && installed_.count({reader, name}) == 0 &&
-         !holder->HasDocument(name);
-}
-
-void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
-                                         const DocName& name,
-                                         TreePtr tree) {
-  if (!NameSlotFree(reader, name)) return;
+  // It is checked first: a copy built for a taken slot would only be
+  // discarded.
+  Peer* holder = sys_->peer(reader);
+  if (holder == nullptr || installed_.count({reader, name}) > 0 ||
+      holder->HasDocument(name)) {
+    return;
+  }
+  ResidentCopy copy;
+  if (!FindResidentCopy(*CacheFor(reader), ReplicaKey{origin, name},
+                        Version(origin, name), &copy)) {
+    return;
+  }
+  // The installed document is a private instance: local reads hand
+  // trees out unshared-with-the-cache, so no consumer can mutate the
+  // content-addressed blob behind its digest.
+  TreePtr tree = Materialize(copy, holder->gen());
+  if (tree == nullptr) return;
   if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
     tr->Record("replica", "install", reader, 0, 0,
                ReplicaKey{origin, name}.ToString());
   }
-  sys_->peer(reader)->PutDocument(name, std::move(tree));
+  holder->PutDocument(name, std::move(tree));
   installed_[{reader, name}] = origin;
   if (sys_->catalog() != nullptr) {
     sys_->catalog()->Register(ResourceKind::kDocument, name, reader);
@@ -276,10 +370,18 @@ void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
   }
 }
 
-TreePtr ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
-                                    const DocName& name) {
+TreePtr ReplicaManager::ReadFresh(PeerId reader, PeerId origin,
+                                  const DocName& name, CopyLayout* layout) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  if (reader == origin || !origin.is_concrete()) return nullptr;
+  if (sys_ == nullptr || reader == origin || !origin.is_concrete() ||
+      sys_->peer(reader) == nullptr) {
+    return nullptr;
+  }
+  // The layout a fetch would ship now. A fresh whole copy still serves
+  // a document that has since crossed the shard cap (e.g. cached before
+  // sharding was enabled): the cost model prices it at zero, so the read
+  // must not re-fetch it as shards.
+  const bool sharded = OriginShards(origin, name) != nullptr;
   // A miss from a peer that never cached anything must not allocate a
   // TransferCache (plus evict listener) for it — readers that never
   // insert would each leak an empty cache. The miss is tallied
@@ -289,7 +391,40 @@ TreePtr ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
     ++uncached_misses_;
     return nullptr;
   }
-  return it->second->Get(ReplicaKey{origin, name}, Version(origin, name));
+  TransferCache* cache = it->second.get();
+  NodeIdGen* gen = sys_->peer(reader)->gen();
+  const uint64_t current = Version(origin, name);
+  const ReplicaKey key{origin, name};
+  const TransferCache::Entry* whole = sharded ? cache->Peek(key) : nullptr;
+  if (!sharded || (whole != nullptr && whole->origin_version == current)) {
+    // A stale entry is dropped by this Get (with its advertisements, via
+    // the evict listener) and the read falls through to the wire.
+    TreePtr blob = cache->Get(key, current);
+    if (blob == nullptr) return nullptr;
+    if (layout != nullptr) *layout = CopyLayout::kWhole;
+    // The private instance is a decode of the resident wire bytes — the
+    // same operation the transfer this hit replaces would have run.
+    Result<TreePtr> decoded =
+        wire::DecodeTree(*cache->PeekEncoded(key), gen, WireStatsOf(sys_));
+    AXML_DCHECK(decoded.ok());
+    return decoded.ok() ? std::move(decoded).value() : blob->Clone(gen);
+  }
+  if (cache->Get(ManifestKey(origin, name), current) == nullptr) {
+    return nullptr;
+  }
+  // Completeness is probed without side effects first: an incomplete
+  // copy must not charge recency/hit credit for shards this read cannot
+  // use yet (the delta fetch that follows will claim them).
+  ResidentCopy copy;
+  if (!FindResidentCopy(*cache, key, current, &copy)) return nullptr;
+  for (const auto& [id, e] : copy.shards) {
+    cache->Get(ReplicaKey{origin, name, id}, kImmutableVersion);
+  }
+  TreePtr assembled = Materialize(copy, gen);
+  if (assembled == nullptr) return nullptr;
+  ++shard_stats_.full_hits;
+  if (layout != nullptr) *layout = CopyLayout::kSharded;
+  return assembled;
 }
 
 bool ReplicaManager::HasFresh(PeerId reader, PeerId origin,
@@ -300,33 +435,12 @@ bool ReplicaManager::HasFresh(PeerId reader, PeerId origin,
 uint64_t ReplicaManager::FreshCopyBytes(PeerId reader, PeerId origin,
                                         const DocName& name) const {
   const TransferCache* cache = FindCache(reader);
-  if (cache == nullptr) return 0;
-  const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name});
-  if (e != nullptr && e->origin_version == Version(origin, name)) {
-    return e->bytes;
-  }
-  // A complete sharded copy is as fresh as a whole-document one.
-  return ShardedResidentBytes(reader, origin, name,
-                              /*require_complete=*/true);
-}
-
-uint64_t ReplicaManager::ShardedResidentBytes(PeerId reader, PeerId origin,
-                                              const DocName& name,
-                                              bool require_complete) const {
-  const TransferCache* cache = FindCache(reader);
-  if (cache == nullptr) return 0;
-  const TransferCache::Entry* m = cache->Peek(ManifestKey(origin, name));
-  if (m == nullptr || m->origin_version != Version(origin, name)) return 0;
-  uint64_t bytes = 0;
-  for (const std::string& id : ManifestShardIds(*m->tree)) {
-    const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name, id});
-    if (e == nullptr) {
-      if (require_complete) return 0;
-      continue;
-    }
-    bytes += e->bytes;
-  }
-  return bytes;
+  ResidentCopy copy;
+  return cache != nullptr &&
+                 FindResidentCopy(*cache, ReplicaKey{origin, name},
+                                  Version(origin, name), &copy)
+             ? copy.bytes
+             : 0;
 }
 
 bool ReplicaManager::IsCachedCopy(PeerId peer, const DocName& name) const {
@@ -669,24 +783,16 @@ const ShardedDocument* ReplicaManager::OriginShards(
   return &pos->second.sharded;
 }
 
-bool ReplicaManager::ShardedReadApplies(PeerId origin,
-                                        const DocName& name) const {
-  return OriginShards(origin, name) != nullptr;
-}
-
-bool ReplicaManager::HasFreshWholeCopy(PeerId reader, PeerId origin,
-                                       const DocName& name) const {
-  const TransferCache* cache = FindCache(reader);
-  if (cache == nullptr) return false;
-  const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name});
-  return e != nullptr && e->origin_version == Version(origin, name);
-}
-
-bool ReplicaManager::ShardedDeltaBytes(PeerId reader, PeerId origin,
-                                       const DocName& name,
-                                       uint64_t* bytes) const {
+double ReplicaManager::ReadTransferBytes(PeerId reader, PeerId origin,
+                                         const DocName& name,
+                                         double whole_bytes) const {
+  if (ExpectedFresh(reader, origin, name)) return 0;
   const ShardedDocument* sd = OriginShards(origin, name);
-  if (sd == nullptr || reader == origin) return false;
+  if (sd == nullptr || reader == origin) return whole_bytes;
+  // Partial sharded copies pay only for what is missing: the stale
+  // manifest plus the non-resident data shards. A peer holding most of
+  // a document's shards reads it almost for free, so the optimizer
+  // prefers routing the read there over a cold peer.
   const TransferCache* cache = FindCache(reader);
   uint64_t delta = 0;
   const TransferCache::Entry* m =
@@ -702,267 +808,190 @@ bool ReplicaManager::ShardedDeltaBytes(PeerId reader, PeerId origin,
       delta += s.bytes;
     }
   }
-  *bytes = delta;
-  return true;
+  return std::min(static_cast<double>(delta), whole_bytes);
 }
 
-TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
-                                           const DocName& name) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
-    return nullptr;
-  }
-  auto it = caches_.find(reader);
-  if (it == caches_.end()) {
-    ++uncached_misses_;  // as in LookupFresh: never allocate for a miss
-    return nullptr;
-  }
-  TransferCache* cache = it->second.get();
-  // A stale manifest is dropped by this Get (with its advertisements,
-  // via the evict listener) and the read falls through to a delta fetch.
-  TreePtr manifest = cache->Get(ManifestKey(origin, name),
-                                Version(origin, name));
-  if (manifest == nullptr) return nullptr;
-  const std::vector<std::string> ids = ManifestShardIds(*manifest);
-  // Probe completeness first with Peek: an incomplete copy must not
-  // charge recency/hit credit for shards this read cannot use yet (the
-  // delta fetch that follows will claim them).
-  for (const std::string& id : ids) {
-    if (cache->Peek(ReplicaKey{origin, name, id}) == nullptr) {
-      return nullptr;
+TreePtr ReplicaManager::EncodeShardDelta(const ShardedDocument& sd,
+                                         const ReplicaKey& doc,
+                                         TransferCache* cache,
+                                         std::map<std::string, TreePtr>* parts,
+                                         wire::Shipment* ship,
+                                         ShardStats* tally) {
+  ship->sharded = true;
+  // No clone crosses the process: the shards are *encoded* into the
+  // delta, and the receiving peer decodes what the wire delivered.
+  std::set<std::string> seen;
+  for (const DocumentShard& s : sd.shards) {
+    const std::string id = s.id.ToString();
+    // A duplicated id (two byte-identical groups) ships — and is
+    // charged — once; the manifest references it twice and assembly
+    // reuses it.
+    if (!seen.insert(id).second) continue;
+    const ReplicaKey key = ShardDataKey(doc.origin, doc.name, s.id);
+    bool resident = false;
+    if (parts != nullptr) {
+      if (TreePtr t = cache->Get(key, kImmutableVersion)) {
+        (*parts)[id] = std::move(t);
+        resident = true;
+      }
+    } else {
+      resident = cache != nullptr && cache->Peek(key) != nullptr;
     }
+    if (resident) {
+      ++tally->shards_reused;
+      tally->shard_bytes_saved += s.bytes;
+      continue;
+    }
+    wire::Shipment::Shard shipped;
+    shipped.id = id;
+    shipped.tree = wire::EncodeTree(*s.content, WireStatsOf(sys_));
+    ++tally->shards_shipped;
+    tally->shard_bytes_shipped += shipped.tree.size();
+    ship->shards.push_back(std::move(shipped));
   }
-  std::map<std::string, TreePtr> parts;
-  for (const std::string& id : ids) {
-    parts[id] = cache->Get(ReplicaKey{origin, name, id}, kImmutableVersion);
+  const TransferCache::Entry* m =
+      cache == nullptr ? nullptr
+                       : cache->Peek(ManifestKey(doc.origin, doc.name));
+  if (m != nullptr && m->origin_version == ship->snapshot_version) {
+    return m->tree;
   }
-  Peer* holder = sys_->peer(reader);
-  if (holder == nullptr) return nullptr;
-  TreePtr assembled = AssembleDocument(
-      *manifest,
-      [&parts](const std::string& id) -> TreePtr {
-        auto p = parts.find(id);
-        return p == parts.end() ? nullptr : p->second;
-      },
-      holder->gen());
-  if (assembled != nullptr) ++shard_stats_.full_hits;
-  return assembled;
+  ship->manifest = wire::EncodeTree(*sd.manifest, WireStatsOf(sys_));
+  ++tally->manifests_shipped;
+  return nullptr;
 }
 
-bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
-                                  const DocName& name,
-                                  std::function<void(TreePtr)> deliver,
-                                  uint64_t* delta_bytes) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  if (sys_ == nullptr || reader == origin) return false;
-  const ShardedDocument* sd = OriginShards(origin, name);
-  Peer* dest = sys_->peer(reader);
-  if (sd == nullptr || dest == nullptr) return false;
-  TransferCache* cache = CacheFor(reader);
-  const uint64_t snap_version = Version(origin, name);
+bool ReplicaManager::DecodeLanded(const wire::Payload& p, PeerId holder,
+                                  const TreePtr& resident_manifest,
+                                  LandedCopy* landed,
+                                  uint64_t* snapshot_version) {
+  Peer* dest = sys_->peer(holder);
+  if (dest == nullptr) return false;
+  // The receiving peer mints its own node ids from the received bytes —
+  // the simulated form of deserialization at the destination.
+  auto decode = [this, dest](const std::string& bytes, TreePtr* out) {
+    Result<TreePtr> t = wire::DecodeTree(bytes, dest->gen(), WireStatsOf(sys_));
+    AXML_DCHECK(t.ok());
+    if (!t.ok()) return false;
+    *out = std::move(t).value();
+    return true;
+  };
+  if (p.message_class() == wire::MessageClass::kTree) {
+    landed->whole_encoded = p.bytes();
+    return decode(landed->whole_encoded, &landed->whole);
+  }
+  Result<wire::Shipment> got = wire::DecodeShipment(p, WireStatsOf(sys_));
+  AXML_DCHECK(got.ok());
+  if (!got.ok()) return false;
+  wire::Shipment arrived = std::move(got).value();
+  *snapshot_version = arrived.snapshot_version;
+  if (!arrived.sharded) {
+    landed->whole_encoded = std::move(arrived.whole);
+    return decode(landed->whole_encoded, &landed->whole);
+  }
+  landed->manifest = resident_manifest;
+  if (!arrived.manifest.empty() &&
+      !decode(arrived.manifest, &landed->manifest)) {
+    return false;
+  }
+  for (const wire::Shipment::Shard& s : arrived.shards) {
+    DocumentShard shard;
+    if (!decode(s.tree, &shard.content)) return false;
+    // Encode/decode preserves canonical form, so the recomputed digest
+    // equals the id the sender addressed the shard by.
+    shard.id = DigestOf(*shard.content);
+    shard.bytes = s.tree.size();
+    landed->shards.push_back(std::move(shard));
+  }
+  return landed->manifest != nullptr;
+}
 
-  // Partition the manifest's shards: residents serve locally (each a
-  // cache hit — the partial-copy payoff), the rest are *encoded* into
-  // the delta — no clone crosses the process; the receiving peer
-  // decodes what the wire delivered.
+bool ReplicaManager::Fetch(PeerId reader, PeerId origin, const DocName& name,
+                           std::function<void(TreePtr)> deliver,
+                           CopyLayout* layout) {
+  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+  if (sys_ == nullptr || reader == origin || sys_->peer(reader) == nullptr) {
+    return false;
+  }
+  const Peer* host = sys_->peer(origin);
+  TreePtr root = host == nullptr ? nullptr : host->GetDocument(name);
+  if (root == nullptr || root->ContainsServiceCall()) return false;
+  const ReplicaKey doc{origin, name};
+
+  // One landing for both layouts: cache what arrived (a stale snapshot
+  // is refused there, but the read still gets it — a read observes the
+  // version it was issued against), then hand the reader a private
+  // instance. Reliable: the read path runs the loop to quiescence, and
+  // a silently lost transfer would hang the read.
+  auto send = [this, reader, doc](
+                  wire::Payload payload, uint64_t snap_version,
+                  TreePtr resident_manifest,
+                  std::map<std::string, TreePtr> parts,
+                  std::function<void(TreePtr)> done) {
+    sys_->network().SendReliable(
+        doc.origin, reader, std::move(payload),
+        [this, reader, doc, snap_version,
+         resident_manifest = std::move(resident_manifest),
+         parts = std::move(parts),
+         done = std::move(done)](const wire::Payload& p) mutable {
+          LandedCopy landed;
+          uint64_t snapshot = snap_version;
+          if (!DecodeLanded(p, reader, resident_manifest, &landed,
+                            &snapshot)) {
+            done(nullptr);
+            return;
+          }
+          const bool cached =
+              InsertCopy(reader, doc.origin, doc.name, landed, snapshot);
+          NodeIdGen* gen = sys_->peer(reader)->gen();
+          if (landed.whole != nullptr) {
+            // A cached tree is the cache blob now: never hand it out.
+            done(cached ? landed.whole->Clone(gen) : landed.whole);
+            return;
+          }
+          for (const DocumentShard& s : landed.shards) {
+            parts[s.id.ToString()] = s.content;
+          }
+          done(Assemble(*landed.manifest, parts, gen));
+        });
+  };
+
+  // A read-path fetch roots its own causal chain (unless the read is
+  // already inside one); the sends carry the id to the landing.
+  Tracer* tr = trace();
+  Tracer::Scope trace_scope(tr, tr->CurrentOrNew());
+  const ShardedDocument* sd = OriginShards(origin, name);
+  if (layout != nullptr) {
+    *layout = sd != nullptr ? CopyLayout::kSharded : CopyLayout::kWhole;
+  }
+  if (sd == nullptr) {
+    // A whole document is encoded, version-stamped and sent on the
+    // loop's next turn at this instant, like every plain transfer.
+    sys_->loop().Post(tr->Bind([this, doc, root, send,
+                                deliver = std::move(deliver)]() mutable {
+      send(wire::Payload(wire::EncodeTree(*root, WireStatsOf(sys_))),
+           Version(doc.origin, doc.name), nullptr, {}, std::move(deliver));
+    }));
+    return true;
+  }
+  // A delta: the stale manifest and the shards this reader lacks cross
+  // the wire; resident shards serve locally — the partial-copy payoff.
   wire::Shipment ship;
   ship.origin = origin.index();
   ship.name = name;
-  ship.snapshot_version = snap_version;
-  ship.sharded = true;
+  ship.snapshot_version = Version(origin, name);
   std::map<std::string, TreePtr> parts;
-  std::set<std::string> shipped_ids;
-  uint64_t shard_wire = 0;
-  uint64_t reused_bytes = 0;
-  for (const DocumentShard& s : sd->shards) {
-    const ReplicaKey key = ShardDataKey(origin, name, s.id);
-    // A duplicated id (two byte-identical groups) crosses the wire
-    // once; the manifest references it twice and assembly reuses it.
-    if (parts.count(s.id.ToString()) > 0 ||
-        shipped_ids.count(s.id.ToString()) > 0) {
-      continue;
-    }
-    if (TreePtr resident = cache->Get(key, kImmutableVersion)) {
-      parts[s.id.ToString()] = std::move(resident);
-      reused_bytes += s.bytes;
-      ++shard_stats_.shards_reused;
-    } else {
-      wire::Shipment::Shard shipped;
-      shipped.id = s.id.ToString();
-      shipped.tree = wire::EncodeTree(*s.content, WireStatsOf(sys_));
-      shard_wire += shipped.tree.size();
-      shipped_ids.insert(shipped.id);
-      ship.shards.push_back(std::move(shipped));
-    }
-  }
-  const TransferCache::Entry* m = cache->Peek(ManifestKey(origin, name));
-  const bool need_manifest =
-      m == nullptr || m->origin_version != snap_version;
-  // Holding the resident manifest's TreePtr keeps its blob alive even if
-  // the entry is evicted while the delta is on the wire.
-  TreePtr resident_manifest = need_manifest ? nullptr : m->tree;
-  if (need_manifest) {
-    ship.manifest = wire::EncodeTree(*sd->manifest, WireStatsOf(sys_));
-    ++shard_stats_.manifests_shipped;
-  }
-  wire::Payload payload = wire::EncodeShipment(ship, WireStatsOf(sys_));
-  const uint64_t wire_bytes = payload.size();
+  const uint64_t reused_before = shard_stats_.shards_reused;
+  TreePtr resident_manifest = EncodeShardDelta(
+      *sd, doc, CacheFor(reader), &parts, &ship, &shard_stats_);
   ++shard_stats_.sharded_reads;
-  shard_stats_.shards_shipped += ship.shards.size();
-  shard_stats_.shard_bytes_shipped += shard_wire;
-  shard_stats_.shard_bytes_saved += reused_bytes;
-  if (reused_bytes > 0) ++shard_stats_.partial_hits;
-  if (delta_bytes != nullptr) *delta_bytes = wire_bytes;
-
-  // A read-path delta fetch roots its own chain (unless the read is
-  // already inside one); the Send below carries the id to the landing.
-  Tracer* tr = trace();
-  Tracer::Scope trace_scope(tr, tr != nullptr ? tr->CurrentOrNew() : 0);
-  if (tr != nullptr && tr->enabled()) {
-    tr->Record("replica", "delta_fetch", reader, wire_bytes, 0,
-               ReplicaKey{origin, name}.ToString());
+  if (shard_stats_.shards_reused > reused_before) ++shard_stats_.partial_hits;
+  wire::Payload payload = wire::EncodeShipment(ship, WireStatsOf(sys_));
+  if (tr->enabled()) {
+    tr->Record("replica", "delta_fetch", reader, payload.size(), 0,
+               doc.ToString());
   }
-
-  // Reliable: the read path runs the loop to quiescence and a silently
-  // lost delta would hang the read; the fabric retransmits under loss.
-  sys_->network().SendReliable(
-      origin, reader, std::move(payload),
-      [this, reader, origin, name, resident_manifest,
-       parts = std::move(parts), snap_version,
-       deliver = std::move(deliver)](const wire::Payload& p) mutable {
-        Peer* dest = sys_->peer(reader);
-        if (dest == nullptr) {
-          deliver(nullptr);  // reader vanished mid-flight
-          return;
-        }
-        Result<wire::Shipment> got =
-            wire::DecodeShipment(p, WireStatsOf(sys_));
-        AXML_DCHECK(got.ok());
-        if (!got.ok()) {
-          deliver(nullptr);
-          return;
-        }
-        const wire::Shipment& arrived = got.value();
-        TreePtr manifest = resident_manifest;
-        if (!arrived.manifest.empty()) {
-          Result<TreePtr> md = wire::DecodeTree(
-              arrived.manifest, dest->gen(), WireStatsOf(sys_));
-          AXML_DCHECK(md.ok());
-          if (!md.ok()) {
-            deliver(nullptr);
-            return;
-          }
-          manifest = std::move(md).value();
-        }
-        std::vector<DocumentShard> shipped;
-        for (const wire::Shipment::Shard& s : arrived.shards) {
-          Result<TreePtr> t =
-              wire::DecodeTree(s.tree, dest->gen(), WireStatsOf(sys_));
-          AXML_DCHECK(t.ok());
-          if (!t.ok()) {
-            deliver(nullptr);
-            return;
-          }
-          DocumentShard shard;
-          shard.content = std::move(t).value();
-          shard.id = DigestOf(*shard.content);
-          shard.bytes = s.tree.size();
-          parts[shard.id.ToString()] = shard.content;
-          shipped.push_back(std::move(shard));
-        }
-        if (manifest == nullptr) {
-          deliver(nullptr);
-          return;
-        }
-        // Cache what landed (a stale snapshot is refused there but the
-        // read below still delivers it — a read observes the version it
-        // was issued against, exactly like the whole-document path).
-        InsertShardedCopy(reader, origin, name, manifest, shipped,
-                          snap_version);
-        TreePtr assembled = AssembleDocument(
-            *manifest,
-            [&parts](const std::string& id) -> TreePtr {
-              auto p = parts.find(id);
-              return p == parts.end() ? nullptr : p->second;
-            },
-            dest->gen());
-        deliver(std::move(assembled));
-      });
-  return true;
-}
-
-bool ReplicaManager::InsertShardedCopy(PeerId reader, PeerId origin,
-                                       const DocName& name,
-                                       const TreePtr& manifest,
-                                       const std::vector<DocumentShard>& shipped,
-                                       uint64_t snapshot_version) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
-    return false;
-  }
-  Peer* holder = sys_->peer(reader);
-  if (holder == nullptr || manifest == nullptr) return false;
-  if (snapshot_version != Version(origin, name)) {
-    return false;  // the origin moved on while the delta was on the wire
-  }
-
-  TransferCache* cache = CacheFor(reader);
-  const ReplicaKey mkey = ManifestKey(origin, name);
-  // Re-Putting an identical fresh manifest would churn the evict
-  // listener (retract + re-advertise) for nothing — skip it.
-  const TransferCache::Entry* resident = cache->Peek(mkey);
-  const ContentDigest mdigest = DigestOf(*manifest);
-  if (resident == nullptr || resident->origin_version != snapshot_version ||
-      !(resident->digest == mdigest)) {
-    if (!cache->Put(mkey, manifest, mdigest, snapshot_version)) {
-      return false;  // manifest alone over budget: nothing to anchor on
-    }
-  }
-  // Subscriptions mirror residency: each data shard that survives its
-  // Put subscribes the holder under its exact key (a later Put may
-  // evict it again — the evict listener unsubscribes then), so mutation
-  // fan-out can skip this holder while its pieces stay referenced.
-  // Shards resident from earlier deltas subscribed at their own insert.
-  for (const DocumentShard& s : shipped) {
-    const ReplicaKey skey = ShardDataKey(origin, name, s.id);
-    // Budget refusals are fine — the copy stays partial and later reads
-    // fetch the gap again.
-    if (cache->Put(skey, s.content, s.id, kImmutableVersion) &&
-        cache->Peek(skey) != nullptr) {
-      subscriptions_.Subscribe(skey, reader);
-    }
-  }
-  // The shard Puts may have evicted the manifest right back out; the
-  // surviving shards stay resident (and subscribed) for future deltas.
-  const TransferCache::Entry* m = cache->Peek(mkey);
-  if (m == nullptr) return false;
-  subscriptions_.Subscribe(mkey, reader);
-
-  // Install + advertise only a *complete* copy; a partial one serves
-  // delta reads but must never be read by name.
-  std::map<std::string, TreePtr> parts;
-  bool complete = true;
-  for (const std::string& id : ManifestShardIds(*m->tree)) {
-    const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name, id});
-    if (e == nullptr) {
-      complete = false;
-      break;
-    }
-    parts[id] = e->tree;
-  }
-  if (complete) {
-    TreePtr assembled = AssembleDocument(
-        *m->tree,
-        [&parts](const std::string& id) -> TreePtr {
-          auto p = parts.find(id);
-          return p == parts.end() ? nullptr : p->second;
-        },
-        holder->gen());
-    if (assembled != nullptr) {
-      // AssembleDocument already minted fresh nodes — no extra clone.
-      InstallAndAdvertise(reader, origin, name, std::move(assembled));
-    }
-  }
+  send(std::move(payload), ship.snapshot_version,
+       std::move(resident_manifest), std::move(parts), std::move(deliver));
   return true;
 }
 
@@ -1010,7 +1039,7 @@ void ReplicaManager::OnPickDemand(const std::string& /*class_name*/,
 bool ReplicaManager::LaunchShipment(
     PeerId holder, const ReplicaKey& key,
     const std::function<bool(uint64_t bytes)>& admit,
-    std::function<void(const ShipmentPayload& payload, uint64_t snap_version,
+    std::function<void(const LandedCopy& landed, uint64_t snap_version,
                        uint64_t bytes)>
         on_land,
     int attempt) {
@@ -1026,7 +1055,7 @@ bool ReplicaManager::LaunchShipment(
   }
   TreePtr root = origin->GetDocument(key.name);
   // A removed document has nothing to ship; a tree still carrying
-  // service calls is excluded, as on the evaluator's insert path — a
+  // service calls is excluded, as on the read path (Fetch) — a
   // copy would freeze its activation state.
   if (root == nullptr || root->ContainsServiceCall()) return false;
 
@@ -1041,48 +1070,15 @@ bool ReplicaManager::LaunchShipment(
   ship.origin = key.origin.index();
   ship.name = key.name;
   ship.snapshot_version = snap_version;
-  uint64_t shard_bytes = 0;
-  uint64_t reused = 0;
-  uint64_t reused_bytes = 0;
-  bool need_manifest = false;
-  // A resident fresh manifest is not re-shipped; holding its TreePtr
-  // keeps the blob alive for the landing even if the entry is evicted
-  // while the shipment is on the wire.
+  ShardStats tally;
   TreePtr resident_manifest;
   if (const ShardedDocument* sd = OriginShards(key.origin, key.name)) {
-    // Sharded delta: the manifest (unless the holder's is already
-    // fresh — e.g. a placement round completing a partial copy) plus
-    // only the data shards the holder lacks right now —
-    // content-addressed ids make "lacks" independent of the version the
-    // holder's stale copy was cut from.
-    ship.sharded = true;
-    const TransferCache* cache = FindCache(holder);
-    const TransferCache::Entry* m =
-        cache == nullptr ? nullptr : cache->Peek(ManifestKey(key.origin,
-                                                             key.name));
-    need_manifest = m == nullptr || m->origin_version != snap_version;
-    if (need_manifest) {
-      ship.manifest = wire::EncodeTree(*sd->manifest, WireStatsOf(sys_));
-    } else {
-      resident_manifest = m->tree;
-    }
-    std::set<std::string> seen;
-    for (const DocumentShard& s : sd->shards) {
-      // A duplicated id (two byte-identical groups) ships — and is
-      // charged — once; the manifest references it twice.
-      if (!seen.insert(s.id.ToString()).second) continue;
-      if (cache != nullptr &&
-          cache->Peek(ShardDataKey(key.origin, key.name, s.id)) != nullptr) {
-        ++reused;
-        reused_bytes += s.bytes;
-        continue;
-      }
-      wire::Shipment::Shard shipped;
-      shipped.id = s.id.ToString();
-      shipped.tree = wire::EncodeTree(*s.content, WireStatsOf(sys_));
-      shard_bytes += shipped.tree.size();
-      ship.shards.push_back(std::move(shipped));
-    }
+    // A sharded delta against whatever the holder has resident — a
+    // placement round may be completing a partial copy.
+    auto cit = caches_.find(holder);
+    resident_manifest = EncodeShardDelta(
+        *sd, key, cit == caches_.end() ? nullptr : cit->second.get(),
+        /*parts=*/nullptr, &ship, &tally);
   } else {
     ship.whole = wire::EncodeTree(*root, WireStatsOf(sys_));
   }
@@ -1094,11 +1090,11 @@ bool ReplicaManager::LaunchShipment(
   }
   if (ship.sharded) {
     ++shard_stats_.sharded_shipments;
-    if (need_manifest) ++shard_stats_.manifests_shipped;
-    shard_stats_.shards_shipped += ship.shards.size();
-    shard_stats_.shard_bytes_shipped += shard_bytes;
-    shard_stats_.shards_reused += reused;
-    shard_stats_.shard_bytes_saved += reused_bytes;
+    shard_stats_.manifests_shipped += tally.manifests_shipped;
+    shard_stats_.shards_shipped += tally.shards_shipped;
+    shard_stats_.shard_bytes_shipped += tally.shard_bytes_shipped;
+    shard_stats_.shards_reused += tally.shards_reused;
+    shard_stats_.shard_bytes_saved += tally.shard_bytes_saved;
   }
   const uint64_t generation = ++refresh_generation_;
   refresh_inflight_[{holder, key}] = generation;
@@ -1117,49 +1113,13 @@ bool ReplicaManager::LaunchShipment(
           return;
         }
         refresh_inflight_.erase(it);
-        Peer* dest = sys_->peer(holder);
-        if (dest == nullptr) return;
-        // Decode at the landing site: the receiving peer mints its own
-        // node ids from the received bytes — the simulated form of
-        // deserialization at the destination.
-        Result<wire::Shipment> got =
-            wire::DecodeShipment(p, WireStatsOf(sys_));
-        AXML_DCHECK(got.ok());
-        if (!got.ok()) return;
-        const wire::Shipment& arrived = got.value();
-        ShipmentPayload landed;
-        if (!arrived.sharded) {
-          Result<TreePtr> tree = wire::DecodeTree(
-              arrived.whole, dest->gen(), WireStatsOf(sys_));
-          AXML_DCHECK(tree.ok());
-          if (!tree.ok()) return;
-          landed.whole = std::move(tree).value();
-          landed.whole_encoded = arrived.whole;
-        } else {
-          if (!arrived.manifest.empty()) {
-            Result<TreePtr> m = wire::DecodeTree(
-                arrived.manifest, dest->gen(), WireStatsOf(sys_));
-            AXML_DCHECK(m.ok());
-            if (!m.ok()) return;
-            landed.manifest = std::move(m).value();
-          } else {
-            landed.manifest = resident_manifest;
-          }
-          for (const wire::Shipment::Shard& s : arrived.shards) {
-            Result<TreePtr> t =
-                wire::DecodeTree(s.tree, dest->gen(), WireStatsOf(sys_));
-            AXML_DCHECK(t.ok());
-            if (!t.ok()) return;
-            DocumentShard shard;
-            shard.content = std::move(t).value();
-            // Encode/decode preserves canonical form, so the recomputed
-            // digest equals the id the sender addressed the shard by.
-            shard.id = DigestOf(*shard.content);
-            shard.bytes = s.tree.size();
-            landed.shards.push_back(std::move(shard));
-          }
+        LandedCopy landed;
+        uint64_t landed_version = 0;
+        if (!DecodeLanded(p, holder, resident_manifest, &landed,
+                          &landed_version)) {
+          return;
         }
-        on_land(landed, arrived.snapshot_version, p.size());
+        on_land(landed, landed_version, p.size());
       });
   if (ship_max_attempts_ > 0) {
     // Bounded retry-with-backoff: if the landing has not cleared the
@@ -1201,19 +1161,6 @@ bool ReplicaManager::LaunchShipment(
   return true;
 }
 
-bool ReplicaManager::InsertLanded(PeerId holder, const ReplicaKey& key,
-                                  const ShipmentPayload& payload,
-                                  uint64_t snap_version) {
-  if (payload.whole != nullptr) {
-    // The cache stores the very bytes the shipment carried — the
-    // budgeted size is the priced wire size by construction.
-    return InsertCopy(holder, key.origin, key.name, payload.whole,
-                      snap_version, payload.whole_encoded);
-  }
-  return InsertShardedCopy(holder, key.origin, key.name, payload.manifest,
-                           payload.shards, snap_version);
-}
-
 bool ReplicaManager::StartPlacementShipment(
     const PlacementDecision& decision) {
   const PeerId holder = decision.holder;
@@ -1248,10 +1195,10 @@ bool ReplicaManager::StartPlacementShipment(
         return true;
       },
       /*on_land=*/
-      [this, holder, key, decision](const ShipmentPayload& payload,
+      [this, holder, key, decision](const LandedCopy& landed,
                                     uint64_t snap_version,
                                     uint64_t /*bytes*/) {
-        if (InsertLanded(holder, key, payload, snap_version)) {
+        if (InsertCopy(holder, key.origin, key.name, landed, snap_version)) {
           ++placement_stats_.landed;
         } else {
           // The origin moved on while this was on the wire, or the
@@ -1298,19 +1245,17 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
         return true;
       },
       /*on_land=*/
-      [this, holder, key, attempt](const ShipmentPayload& payload,
+      [this, holder, key, attempt](const LandedCopy& landed,
                                    uint64_t snap_version, uint64_t bytes) {
-        if (InsertLanded(holder, key, payload, snap_version)) {
+        if (InsertCopy(holder, key.origin, key.name, landed, snap_version)) {
           ++subscription_stats_.refreshes;
           subscription_stats_.refresh_bytes += bytes;
-          // A sharded landing re-subscribed the holder under its
-          // manifest and shard keys; the doc-level flight interest has
-          // served its purpose unless a whole-document entry backs it.
-          if (payload.whole == nullptr) {
-            const TransferCache* c = FindCache(holder);
-            if (c == nullptr || c->Peek(key) == nullptr) {
-              subscriptions_.Unsubscribe(key, holder);
-            }
+          // The insert subscribed the holder under every key it cached;
+          // the doc-level flight interest has served its purpose unless
+          // a whole-document entry backs it.
+          const TransferCache* c = FindCache(holder);
+          if (c == nullptr || c->Peek(key) == nullptr) {
+            subscriptions_.Unsubscribe(key, holder);
           }
         } else if (Version(key.origin, key.name) != snap_version) {
           // The origin moved on while this was on the wire: a catch-up
@@ -1509,7 +1454,6 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
   auto cit = caches_.find(holder);
   if (cit == caches_.end()) return 0;
   TransferCache* cache = cit->second.get();
-  Peer* dest = sys_->peer(holder);
 
   // Group the holder's resident keys by document.
   std::map<ReplicaKey, std::vector<ReplicaKey>> docs;
@@ -1548,44 +1492,10 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
         tr->Record("replica", "repair", holder, bytes, 0, k.ToString());
       }
     }
-    // Surviving fresh complete copies whose name slot is free are
+    // A surviving fresh complete copy whose name slot is free is
     // re-installed and re-advertised — a rejoining durable cache kept
-    // the content but lost its installation at crash time. The slot is
-    // checked first: a copy built for a taken slot would be discarded.
-    if (dest != nullptr && NameSlotFree(holder, doc.name)) {
-      const TransferCache::Entry* whole = cache->Peek(doc);
-      if (whole != nullptr && whole->origin_version == current) {
-        InstallAndAdvertise(holder, doc.origin, doc.name,
-                            whole->tree->Clone(dest->gen()));
-      } else if (const TransferCache::Entry* m =
-                     cache->Peek(ManifestKey(doc.origin, doc.name));
-                 m != nullptr && m->origin_version == current) {
-        std::map<std::string, TreePtr> parts;
-        bool complete = true;
-        for (const std::string& id : ManifestShardIds(*m->tree)) {
-          const TransferCache::Entry* e =
-              cache->Peek(ReplicaKey{doc.origin, doc.name, id});
-          if (e == nullptr) {
-            complete = false;
-            break;
-          }
-          parts[id] = e->tree;
-        }
-        if (complete) {
-          TreePtr assembled = AssembleDocument(
-              *m->tree,
-              [&parts](const std::string& id) -> TreePtr {
-                auto p = parts.find(id);
-                return p == parts.end() ? nullptr : p->second;
-              },
-              dest->gen());
-          if (assembled != nullptr) {
-            InstallAndAdvertise(holder, doc.origin, doc.name,
-                                std::move(assembled));
-          }
-        }
-      }
-    }
+    // the content but lost its installation at crash time.
+    InstallAndAdvertise(holder, doc.origin, doc.name);
     // A dropped stale copy re-materializes eagerly under kEagerRefresh,
     // exactly as a mutation-time drop would have.
     if (dropped_doc && refresh_policy_ == RefreshPolicy::kEagerRefresh &&

@@ -37,7 +37,10 @@
 //    entry. Reads, eager refresh and placement then ship only the shards
 //    the holder lacks (a "delta"), a mutation of one subtree re-ships
 //    one dirty shard instead of the whole document, and a byte budget
-//    smaller than the document can still hold a useful partial copy.
+//    smaller than the document can still hold a useful partial copy;
+//  - the layout is this layer's secret: one read (ReadFresh), one fetch
+//    (Fetch), one insert (InsertCopy) and one price (ReadTransferBytes)
+//    serve both, so the evaluator and the cost model never name a shard.
 //
 // Cached copies are soft state: AxmlSystem::StateFingerprint skips them,
 // so Σ-equivalence (the rule-equivalence property) is judged on durable
@@ -67,6 +70,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/ids.h"
 #include "common/sequence_checker.h"
@@ -83,6 +87,10 @@ namespace axml {
 
 class AxmlSystem;
 class Tracer;
+namespace wire {
+class Payload;
+struct Shipment;
+}  // namespace wire
 
 /// What a simulated peer crash does to the peer's replica cache.
 enum class CrashMode {
@@ -115,6 +123,11 @@ struct ShardStats {
   /// Registry retrofit: every field above under its own name.
   void ExportMetrics(MetricSink& sink) const;
 };
+
+/// How a copy is stored at its holder: one whole-document entry, or a
+/// manifest plus data shards (xml/sharding.h). Only the replica layer
+/// decides it; callers see it just to file read counters.
+enum class CopyLayout { kWhole, kSharded };
 
 /// Owns every peer's transfer cache and the document version table.
 class ReplicaManager {
@@ -284,60 +297,6 @@ class ReplicaManager {
   const ShardedDocument* OriginShards(PeerId origin,
                                       const DocName& name) const;
 
-  /// True when a read of origin's `name` should use the sharded path
-  /// (OriginShards != nullptr). The evaluator's gate.
-  bool ShardedReadApplies(PeerId origin, const DocName& name) const;
-
-  /// True when `reader` holds a fresh *whole-document* entry for
-  /// origin's `name` (shard dimension empty). No side effects and no
-  /// stats. The evaluator prefers such a copy over the sharded path —
-  /// e.g. one cached before sharding was enabled — so a read the cost
-  /// model prices at zero never re-fetches over the wire.
-  bool HasFreshWholeCopy(PeerId reader, PeerId origin,
-                         const DocName& name) const;
-
-  /// The document assembled from reader's resident shards, iff the
-  /// manifest is fresh and every data shard it references is resident.
-  /// Counts cache hits and touches recency for the manifest and every
-  /// shard; a stale manifest is dropped (with its advertisements) and
-  /// the call misses. The result is freshly built from clones — callers
-  /// may hand it out directly. nullptr on any miss.
-  TreePtr LookupShardedFresh(PeerId reader, PeerId origin,
-                             const DocName& name);
-
-  /// Starts a read-path delta fetch: ships only the manifest (if stale)
-  /// and the data shards `reader` lacks; resident shards are served
-  /// locally (each counts a cache hit). When the transfer lands, the
-  /// copy is cached + installed + advertised (InsertShardedCopy) and
-  /// `deliver` receives the assembled document (nullptr only if the
-  /// reader peer vanished mid-flight). `delta_bytes`, when non-null,
-  /// receives the wire bytes charged. Returns false without sending when
-  /// the sharded path does not apply — callers fall back to the
-  /// whole-document transfer.
-  bool FetchForRead(PeerId reader, PeerId origin, const DocName& name,
-                    std::function<void(TreePtr)> deliver,
-                    uint64_t* delta_bytes = nullptr);
-
-  /// Records a landed sharded shipment at `reader`: caches the manifest
-  /// (versioned) and each shipped data shard (immutable, version 0),
-  /// subscribes the holder, and — when every manifest shard is resident
-  /// and the local name slot is free — installs and advertises the
-  /// assembled document. Returns true when the manifest was cached (the
-  /// sharded copy exists, possibly partial); false when the snapshot is
-  /// stale or the cache refused the manifest.
-  bool InsertShardedCopy(PeerId reader, PeerId origin, const DocName& name,
-                         const TreePtr& manifest,
-                         const std::vector<DocumentShard>& shipped,
-                         uint64_t snapshot_version);
-
-  /// Wire bytes a sharded read of origin's `name` at `reader` would move
-  /// right now: the stale-or-absent manifest plus every non-resident
-  /// data shard. False when the sharded path does not apply (callers
-  /// price a full transfer). The cost model prices partial copies with
-  /// this — a peer holding most of the shards reads almost for free.
-  bool ShardedDeltaBytes(PeerId reader, PeerId origin, const DocName& name,
-                         uint64_t* bytes) const;
-
   const ShardStats& shard_stats() const { return shard_stats_; }
 
   /// True when an eager-refresh shipment of origin's `name` toward
@@ -351,6 +310,16 @@ class ReplicaManager {
   /// assumption plans are priced on.
   bool ExpectedFresh(PeerId reader, PeerId origin,
                      const DocName& name) const;
+
+  /// Cost-model probe: the wire bytes a read of origin's `name` by
+  /// `reader` would move right now, for a document whose whole transfer
+  /// moves `whole_bytes`. 0 when ExpectedFresh holds. For a sharded
+  /// document, the stale-or-absent manifest plus every non-resident
+  /// data shard, clamped to `whole_bytes`: shard wrappers make a cold
+  /// delta exceed the whole document, but a partial copy must never
+  /// price above the transfer it replaces. Otherwise `whole_bytes`.
+  double ReadTransferBytes(PeerId reader, PeerId origin, const DocName& name,
+                           double whole_bytes) const;
 
   // --- Per-peer caches ---
 
@@ -421,30 +390,61 @@ class ReplicaManager {
 
   // --- Copies ---
 
-  /// Records that `landed` — a copy of origin's `name` — materialized at
-  /// `reader`: inserts it into reader's transfer cache and, when the
-  /// reader holds no unrelated document of that name, installs it as a
-  /// local document and advertises it (catalog + generic classes of the
-  /// origin). `snapshot_version` is the origin's version *when the
-  /// content was copied for shipping* — passing the landing-time version
-  /// would brand content cloned before a mid-flight mutation as fresh.
-  /// `encoded`, when non-empty, is the landed tree's wire encoding (the
-  /// bytes the shipment actually carried) — the cache stores it verbatim
-  /// instead of re-encoding. Returns false without caching when the
-  /// snapshot is already stale, the tree exceeds the cache budget, or
-  /// the copy is not cacheable.
-  bool InsertCopy(PeerId reader, PeerId origin, const DocName& name,
-                  const TreePtr& landed, uint64_t snapshot_version,
-                  std::string encoded = {});
+  /// Copy content as it landed at a holder, in one of the two layouts:
+  /// a whole document (`whole`, plus the wire bytes that carried it), or
+  /// a sharded delta (`manifest` plus the data shards the holder lacked).
+  /// (Default member initializers let callers name only the fields of
+  /// their layout.)
+  struct LandedCopy {
+    TreePtr whole = nullptr;
+    /// The bytes that crossed the wire for `whole`; the cache stores them
+    /// verbatim. Empty: the cache encodes `whole` itself.
+    std::string whole_encoded = {};
+    TreePtr manifest = nullptr;
+    std::vector<DocumentShard> shards = {};
+  };
 
-  /// The fresh cached copy of origin's `name` held by `reader`, or
-  /// nullptr. A stale copy is dropped (cache, local document, catalog,
-  /// generic classes) before returning the miss. Counts hit/miss stats.
-  /// Never allocates: a reader that never cached anything gets a plain
-  /// miss (counted manager-side, see TotalStats), not a TransferCache.
-  /// Whole-document entries only; sharded copies read through
-  /// LookupShardedFresh.
-  TreePtr LookupFresh(PeerId reader, PeerId origin, const DocName& name);
+  /// Records that `landed` — a copy of origin's `name` — materialized at
+  /// `reader`: caches it (a whole entry, or the manifest plus each
+  /// shipped shard), subscribes the holder under every cached key, and —
+  /// when the copy is complete and the reader holds no unrelated
+  /// document of that name — installs it as a local document and
+  /// advertises it (catalog + generic classes of the origin).
+  /// `snapshot_version` is the origin's version *when the content was
+  /// copied for shipping* — passing the landing-time version would brand
+  /// content cloned before a mid-flight mutation as fresh. Returns false
+  /// without caching when the snapshot is already stale or the cache
+  /// refused the whole entry or the manifest; shards the budget refuses
+  /// leave a partial copy that later reads complete.
+  bool InsertCopy(PeerId reader, PeerId origin, const DocName& name,
+                  const LandedCopy& landed, uint64_t snapshot_version);
+
+  /// A private instance of the fresh copy of origin's `name` held by
+  /// `reader`, or nullptr. For a whole copy it is decoded from the
+  /// resident wire bytes; for a complete sharded copy it is assembled
+  /// from the resident shards. A copy fetched before the document
+  /// crossed the shard cap is still served. A stale whole entry or
+  /// manifest is dropped (cache, local document, catalog, generic
+  /// classes) before returning the miss. Counts hit/miss stats. Never
+  /// allocates a cache: a reader that never cached anything gets a
+  /// plain miss (counted manager-side, see TotalStats). `layout`, when
+  /// non-null, receives the layout that served the hit.
+  TreePtr ReadFresh(PeerId reader, PeerId origin, const DocName& name,
+                    CopyLayout* layout = nullptr);
+
+  /// Starts the transfer a read miss needs and makes its result a copy:
+  /// a whole document ships as one kTree payload; a sharded one ships
+  /// only the stale manifest and the data shards `reader` lacks, while
+  /// resident shards serve locally (each a cache hit). The landing
+  /// caches what arrived, installs and advertises it (InsertCopy), and
+  /// hands `deliver` a private instance of the document read (nullptr
+  /// only if the reader vanished or the payload did not parse). Returns
+  /// false without sending when the origin's document is absent or
+  /// carries service calls — neither is a copy. `layout`, when non-null,
+  /// receives the layout that was shipped.
+  bool Fetch(PeerId reader, PeerId origin, const DocName& name,
+             std::function<void(TreePtr)> deliver,
+             CopyLayout* layout = nullptr);
 
   /// True when `reader` holds a fresh copy of origin's `name` — a
   /// whole-document entry at the current version, or a complete sharded
@@ -503,17 +503,6 @@ class ReplicaManager {
   void ExportMetrics(MetricSink& sink) const;
 
  private:
-  /// What one shipment carried, decoded at the landing site: a whole
-  /// document, or a sharded delta (manifest + the data shards the holder
-  /// lacked at launch). `whole_encoded` keeps the received wire blob so
-  /// the cache can store exactly the bytes that crossed the link.
-  struct ShipmentPayload {
-    TreePtr whole;
-    std::string whole_encoded;
-    TreePtr manifest;
-    std::vector<DocumentShard> shards;
-  };
-
   /// Memoized origin-side split: recomputed when the document's version
   /// moves past `version`.
   struct OriginShardState {
@@ -528,26 +517,37 @@ class ReplicaManager {
   /// installed document — installed ⇔ fully resident in cache.
   void RetractAdvertisements(PeerId reader, const ReplicaKey& key);
 
-  /// Installs `tree` as reader's local document `name` and advertises it
-  /// (catalog + the origin's generic classes), unless the name slot is
-  /// taken. `tree` must be freshly minted for the reader (never a cache
-  /// blob). Shared tail of InsertCopy / InsertShardedCopy.
+  /// Installs a private instance of reader's complete resident copy of
+  /// origin's `name` as reader's local document and advertises it
+  /// (catalog + the origin's generic classes). No-op when the name slot
+  /// is taken or the copy is incomplete.
   void InstallAndAdvertise(PeerId reader, PeerId origin,
-                           const DocName& name, TreePtr tree);
-  /// True when InstallAndAdvertise would install `name` at `reader`.
-  bool NameSlotFree(PeerId reader, const DocName& name) const;
+                           const DocName& name);
 
-  /// Caches one landed payload at `holder` via InsertCopy or
-  /// InsertShardedCopy, whichever matches its shape.
-  bool InsertLanded(PeerId holder, const ReplicaKey& key,
-                    const ShipmentPayload& payload, uint64_t snap_version);
+  /// Decodes a payload that landed at `holder` into the holder's own
+  /// node ids: a kTree payload (a whole-document read) or a shipment
+  /// envelope, whose snapshot version then overwrites
+  /// `*snapshot_version`. `resident_manifest` stands in for a manifest
+  /// the sender left out because the holder's was fresh. False when the
+  /// holder is gone or the payload does not parse.
+  bool DecodeLanded(const wire::Payload& p, PeerId holder,
+                    const TreePtr& resident_manifest, LandedCopy* landed,
+                    uint64_t* snapshot_version);
 
-  /// Resident fresh shard-content bytes of (origin, name) at `reader`
-  /// (manifest must be at the current version). 0 when any referenced
-  /// shard is missing and `require_complete` is set.
-  uint64_t ShardedResidentBytes(PeerId reader, PeerId origin,
-                                const DocName& name,
-                                bool require_complete) const;
+  /// Fills `ship` with the sharded delta of `sd` (document `doc`) toward
+  /// the holder whose cache is `cache` (nullptr: it holds nothing): the
+  /// manifest unless the holder's is fresh at ship->snapshot_version,
+  /// and each distinct data shard the holder lacks — content-addressed
+  /// ids make "lacks" independent of the version a stale copy was cut
+  /// from. A read passes `parts`: resident shards then serve through Get
+  /// (a cache hit each) and are collected there. Tallies shipped and
+  /// reused pieces into `tally`. Returns the holder's fresh manifest when
+  /// it was left out — holding it keeps the blob alive for the landing
+  /// even if the entry is evicted meanwhile — else nullptr.
+  TreePtr EncodeShardDelta(const ShardedDocument& sd, const ReplicaKey& doc,
+                           TransferCache* cache,
+                           std::map<std::string, TreePtr>* parts,
+                           wire::Shipment* ship, ShardStats* tally);
 
   /// Sends one invalidation notification for `key` (or folds it into the
   /// open batch).
@@ -612,8 +612,8 @@ class ReplicaManager {
   bool LaunchShipment(
       PeerId holder, const ReplicaKey& key,
       const std::function<bool(uint64_t bytes)>& admit,
-      std::function<void(const ShipmentPayload& payload,
-                         uint64_t snap_version, uint64_t bytes)>
+      std::function<void(const LandedCopy& landed, uint64_t snap_version,
+                         uint64_t bytes)>
           on_land,
       int attempt = 0);
 
@@ -650,7 +650,7 @@ class ReplicaManager {
   /// for the same pair.
   std::map<std::pair<PeerId, ReplicaKey>, uint64_t> refresh_inflight_;
   uint64_t refresh_generation_ = 0;
-  /// Misses by peers that never cached anything (LookupFresh must not
+  /// Misses by peers that never cached anything (ReadFresh must not
   /// allocate a cache just to count one); folded into TotalStats.
   uint64_t uncached_misses_ = 0;
 

@@ -163,9 +163,9 @@ TEST(ReplicaManagerContractTest, DistinctKeyMutationsLegallyNest) {
   NodeIdGen gen;
   TreePtr t = MakeTextElement("r", "x", &gen);
   ASSERT_TRUE(sys.InstallDocument(owner, "d", t->CloneSameIds()).ok());
-  ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
-                                        t->Clone(sys.peer(reader)->gen()),
-                                        sys.replicas().Version(owner, "d")));
+  ASSERT_TRUE(sys.replicas().InsertCopy(
+      reader, owner, "d", {.whole = t->Clone(sys.peer(reader)->gen())},
+      sys.replicas().Version(owner, "d")));
   ASSERT_TRUE(sys.replicas().HasFresh(reader, owner, "d"));
   sys.replicas().NoteMutation(owner, "d");  // nests; must not abort
   EXPECT_FALSE(sys.replicas().HasFresh(reader, owner, "d"));
@@ -181,9 +181,10 @@ TEST_F(ReplicaManagerDeathTest, SameKeyMutationCycleAborts) {
         TreePtr t = MakeTextElement("r", "x", &gen);
         ASSERT_TRUE(sys.InstallDocument(owner, "d", t->CloneSameIds()).ok());
         ASSERT_TRUE(
-            sys.replicas().InsertCopy(reader, owner, "d",
-                                      t->Clone(sys.peer(reader)->gen()),
-                                      sys.replicas().Version(owner, "d")));
+            sys.replicas().InsertCopy(
+                reader, owner, "d",
+                {.whole = t->Clone(sys.peer(reader)->gen())},
+                sys.replicas().Version(owner, "d")));
         // A buggy listener: when the push-drop removes reader's copy,
         // re-enter NoteMutation for the key whose fan-out is running.
         sys.peer(reader)->add_mutation_listener(
@@ -209,9 +210,9 @@ TEST(ReplicaManagerContractTest, CrashRejoinChurnNestsLegally) {
   NodeIdGen gen;
   TreePtr t = MakeTextElement("r", "x", &gen);
   ASSERT_TRUE(sys.InstallDocument(owner, "d", t->CloneSameIds()).ok());
-  ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
-                                        t->Clone(sys.peer(reader)->gen()),
-                                        sys.replicas().Version(owner, "d")));
+  ASSERT_TRUE(sys.replicas().InsertCopy(
+      reader, owner, "d", {.whole = t->Clone(sys.peer(reader)->gen())},
+      sys.replicas().Version(owner, "d")));
   // The notify is committed to the wire here; the synchronous push-drop
   // already removed reader's copy.
   sys.peer(owner)->PutDocument("d",
@@ -223,11 +224,11 @@ TEST(ReplicaManagerContractTest, CrashRejoinChurnNestsLegally) {
   // Round two: the holder crashes with a copy resident, the origin
   // moves on while it is down (the fan-out skips it), and the rejoin
   // reconciliation must drop the stale survivor before it can serve.
-  ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
-                                        sys.peer(owner)
-                                            ->GetDocument("d")
-                                            ->Clone(sys.peer(reader)->gen()),
-                                        sys.replicas().Version(owner, "d")));
+  ASSERT_TRUE(sys.replicas().InsertCopy(
+      reader, owner, "d",
+      {.whole = sys.peer(owner)->GetDocument("d")->Clone(
+           sys.peer(reader)->gen())},
+      sys.replicas().Version(owner, "d")));
   sys.CrashPeer(reader, CrashMode::kDurableCache);
   sys.peer(owner)->PutDocument("d",
                                MakeTextElement("r", "z", sys.peer(owner)->gen()));

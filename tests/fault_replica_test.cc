@@ -45,9 +45,9 @@ struct Pair {
 
   bool CacheCopy() {
     TreePtr truth = sys.peer(origin)->GetDocument("d");
-    return sys.replicas().InsertCopy(reader, origin, "d",
-                                     truth->Clone(sys.peer(reader)->gen()),
-                                     sys.replicas().Version(origin, "d"));
+    return sys.replicas().InsertCopy(
+        reader, origin, "d", {.whole = truth->Clone(sys.peer(reader)->gen())},
+        sys.replicas().Version(origin, "d"));
   }
 
   void Mutate(int rev) {

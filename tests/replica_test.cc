@@ -193,7 +193,7 @@ TEST(ReplicaManagerTest, RepeatedReadHitsCacheAndSkipsTheWire) {
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->stats().hits, 1u);
   // The cold read missed before the client had a cache; that miss is
-  // tallied manager-side (LookupFresh must not allocate a cache for it).
+  // tallied manager-side (ReadFresh must not allocate a cache for it).
   EXPECT_EQ(cache->stats().misses, 0u);
   EXPECT_EQ(f.sys.replicas().TotalStats().misses, 1u);
   EXPECT_GT(cache->stats().bytes_saved, 0u);
@@ -291,7 +291,7 @@ TEST(ReplicaManagerTest, StaleDropRetractsAllAdvertisements) {
   Rng rng(5);
   f.sys.peer(f.origin)->PutDocument(
       "d", MakeCatalog(4, f.sys.peer(f.origin)->gen(), &rng));
-  EXPECT_EQ(f.sys.replicas().LookupFresh(f.client, f.origin, "d"), nullptr);
+  EXPECT_EQ(f.sys.replicas().ReadFresh(f.client, f.origin, "d"), nullptr);
 
   EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.client, "d"));
   EXPECT_FALSE(f.sys.peer(f.client)->HasDocument("d"));
@@ -363,8 +363,12 @@ TEST(ReplicaManagerTest, CacheBlobIsIsolatedFromTheInstalledDocument) {
   TwoPeers f;
   Evaluator ev(&f.sys, CachingOptions());
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
-  TreePtr blob = f.sys.replicas().LookupFresh(f.client, f.origin, "d");
-  ASSERT_NE(blob, nullptr);
+  // The cache's own blob, not a private instance of it.
+  const ReplicaKey key{f.origin, "d"};
+  const TransferCache* cache = f.sys.replicas().FindCache(f.client);
+  ASSERT_NE(cache, nullptr);
+  ASSERT_NE(cache->Peek(key), nullptr);
+  TreePtr blob = cache->Peek(key)->tree;
   const std::string pristine = CanonicalForm(*blob);
 
   // Mutate the installed document's tree directly (no listener fires for
@@ -374,9 +378,8 @@ TEST(ReplicaManagerTest, CacheBlobIsIsolatedFromTheInstalledDocument) {
   EXPECT_NE(installed, blob);
   installed->AddChild(
       Leafy("graffiti", "x", f.sys.peer(f.client)->gen()));
-  EXPECT_EQ(CanonicalForm(
-                *f.sys.replicas().LookupFresh(f.client, f.origin, "d")),
-            pristine);
+  ASSERT_NE(cache->Peek(key), nullptr);
+  EXPECT_EQ(CanonicalForm(*cache->Peek(key)->tree), pristine);
 }
 
 TEST(ReplicaManagerTest, DurableWriteOntoCopySlotPromotesIt) {
@@ -457,7 +460,7 @@ TEST(PushRefreshTest, LazyPolicyKeepsTheStaleAdvertisementWindow) {
   EXPECT_TRUE(f.sys.replicas().IsCachedCopy(f.client, "d"));
   EXPECT_EQ(f.sys.replicas().subscription_stats().notifies, 0u);
   // ...until the next lookup drops it.
-  EXPECT_EQ(f.sys.replicas().LookupFresh(f.client, f.origin, "d"), nullptr);
+  EXPECT_EQ(f.sys.replicas().ReadFresh(f.client, f.origin, "d"), nullptr);
   EXPECT_FALSE(f.sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d",
                                              f.client));
 }
@@ -482,7 +485,7 @@ TEST(PushRefreshTest, EagerRefreshRematerializesTheCopy) {
   // The copy re-materialized at the new version without any read.
   EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
   EXPECT_FALSE(f.sys.replicas().IsRefreshInFlight(f.client, f.origin, "d"));
-  TreePtr copy = f.sys.replicas().LookupFresh(f.client, f.origin, "d");
+  TreePtr copy = f.sys.replicas().ReadFresh(f.client, f.origin, "d");
   ASSERT_NE(copy, nullptr);
   EXPECT_TRUE(
       TreesEqualUnordered(*copy, *f.sys.peer(f.origin)->GetDocument("d")));
@@ -516,7 +519,7 @@ TEST(PushRefreshTest, BackToBackMutationsCoalesceOntoOneShipment) {
   f.sys.RunToQuiescence();
   EXPECT_EQ(ss.retries, 1u);    // the first shipment landed stale
   EXPECT_EQ(ss.refreshes, 1u);  // only the catch-up materialized
-  TreePtr copy = f.sys.replicas().LookupFresh(f.client, f.origin, "d");
+  TreePtr copy = f.sys.replicas().ReadFresh(f.client, f.origin, "d");
   ASSERT_NE(copy, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*copy, *origin->GetDocument("d")));
 }

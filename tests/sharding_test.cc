@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -470,6 +471,85 @@ EvalOptions CachingOptions() {
   return opts;
 }
 
+// --- One copy path for both layouts ---
+
+/// One document per layout: below the shard cap it is copied whole,
+/// above it as manifest + shards. Everything outside the replica layer
+/// must behave the same for both.
+struct CopyLayoutCase {
+  const char* name;
+  size_t products;
+  CopyLayout layout;
+};
+
+void PrintTo(const CopyLayoutCase& c, std::ostream* os) { *os << c.name; }
+
+class CopyLayoutTest : public ::testing::TestWithParam<CopyLayoutCase> {};
+
+TEST_P(CopyLayoutTest, ColdReadHitMutationAndReReadTakeOnePath) {
+  const CopyLayoutCase& c = GetParam();
+  ShardedPeers f(c.products);
+  ASSERT_EQ(f.sys.replicas().OriginShards(f.origin, "d") != nullptr,
+            c.layout == CopyLayout::kSharded);
+  Evaluator plain(&f.sys);
+  Evaluator ev(&f.sys, CachingOptions());
+
+  // Cold read: crosses the wire and leaves a complete copy.
+  f.sys.network().mutable_stats()->Reset();
+  auto cold = ev.Eval(f.client, f.Read());
+  ASSERT_TRUE(cold.ok());
+  EXPECT_GT(f.sys.network().stats().remote_bytes(), 0u);
+  ASSERT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
+
+  // Hit: served locally, 0 wire bytes.
+  f.sys.network().mutable_stats()->Reset();
+  auto hit = ev.Eval(f.client, f.Read());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(f.sys.network().stats().remote_bytes(), 0u);
+  EXPECT_TRUE(ResultsEqual(cold->results, hit->results));
+
+  // ReadFresh hands out a private instance, never a cache blob, and
+  // editing it leaves every blob's digest as it was.
+  const TransferCache* cache = f.sys.replicas().FindCache(f.client);
+  ASSERT_NE(cache, nullptr);
+  std::vector<std::pair<TreePtr, ContentDigest>> blobs;
+  for (const ReplicaKey& k : cache->KeysForDoc(f.origin, "d")) {
+    blobs.emplace_back(cache->Peek(k)->tree, DigestOf(*cache->Peek(k)->tree));
+  }
+  ASSERT_FALSE(blobs.empty());
+  CopyLayout layout = CopyLayout::kWhole;
+  TreePtr fresh = f.sys.replicas().ReadFresh(f.client, f.origin, "d", &layout);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(layout, c.layout);
+  EXPECT_TRUE(TreesEqualUnordered(*fresh,
+                                  *f.sys.peer(f.origin)->GetDocument("d")));
+  for (const auto& [blob, digest] : blobs) EXPECT_NE(fresh, blob);
+  fresh->AddChild(
+      MakeTextElement("graffiti", "x", f.sys.peer(f.client)->gen()));
+  for (const auto& [blob, digest] : blobs) {
+    EXPECT_EQ(DigestOf(*blob), digest);
+  }
+
+  // Mutation, then re-read: the result is the new version's.
+  f.MutateOneProduct(1);
+  auto base = plain.Eval(f.client, f.Read());
+  ASSERT_TRUE(base.ok());
+  f.sys.network().mutable_stats()->Reset();
+  auto reread = ev.Eval(f.client, f.Read());
+  ASSERT_TRUE(reread.ok());
+  EXPECT_GT(f.sys.network().stats().remote_bytes(), 0u);
+  EXPECT_TRUE(ResultsEqual(base->results, reread->results));
+  EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothLayouts, CopyLayoutTest,
+    ::testing::Values(CopyLayoutCase{"whole", 4, CopyLayout::kWhole},
+                      CopyLayoutCase{"sharded", 200, CopyLayout::kSharded}),
+    [](const ::testing::TestParamInfo<CopyLayoutCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
 TEST(ShardedReplicaTest, ReadRoundTripsAndSecondReadIsLocal) {
   ShardedPeers f;
   // Baseline result set from the non-caching semantics.
@@ -593,7 +673,11 @@ TEST(ShardedReplicaTest, FreshWholeCopyIsPreferredOverReSharding) {
   f.sys.replicas().set_sharding_enabled(false);
   Evaluator ev(&f.sys, CachingOptions());
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
-  ASSERT_TRUE(f.sys.replicas().HasFreshWholeCopy(f.client, f.origin, "d"));
+  const TransferCache* cache = f.sys.replicas().FindCache(f.client);
+  ASSERT_NE(cache, nullptr);
+  const TransferCache::Entry* whole = cache->Peek(ReplicaKey{f.origin, "d"});
+  ASSERT_NE(whole, nullptr);
+  ASSERT_EQ(whole->origin_version, f.sys.replicas().Version(f.origin, "d"));
 
   // Turning sharding on must not strand that copy: the cost model still
   // prices the read at zero, so the evaluator must serve it instead of
@@ -658,7 +742,7 @@ TEST(ShardedReplicaTest, DuplicateShardIdsCrossTheWireOnce) {
 
 /// Installs partial sharded copies at two readers — `a` gets the first
 /// half of the shards, `b` the second half — via the landing path the
-/// wire uses (InsertShardedCopy), so both subscribe shard-granularly.
+/// wire uses (InsertCopy), so both subscribe shard-granularly.
 struct PartialHolders {
   AxmlSystem sys{Topology(LinkParams{0.050, 1.0e6})};
   PeerId origin, a, b;
@@ -694,9 +778,11 @@ struct PartialHolders {
         ids->push_back(s.id.ToString());
         subset.push_back(std::move(s));
       }
-      ASSERT_TRUE(sys.replicas().InsertShardedCopy(
+      ASSERT_TRUE(sys.replicas().InsertCopy(
           reader, origin, "d",
-          sd->manifest->Clone(sys.peer(reader)->gen()), subset, version));
+          {.manifest = sd->manifest->Clone(sys.peer(reader)->gen()),
+           .shards = std::move(subset)},
+          version));
     };
     seed(a, 0, half, &a_ids);
     seed(b, half, sd->shards.size(), &b_ids);
@@ -819,14 +905,14 @@ TEST(ShardedReplicaTest, ColdDeltaNeverPricesAboveWholeTransfer) {
   // the optimizer prefer cold peers over partial holders. The model
   // clamps.
   ShardedPeers f;
-  uint64_t delta = 0;
-  ASSERT_TRUE(f.sys.replicas().ShardedDeltaBytes(f.client, f.origin, "d",
-                                                 &delta));
+  // An unbounded whole transfer leaves the raw delta unclamped.
+  const double delta = f.sys.replicas().ReadTransferBytes(
+      f.client, f.origin, "d", std::numeric_limits<double>::infinity());
   // The raw delta really is bigger than the encoded whole-document
   // transfer it competes with (per-shard envelopes + the manifest).
   const uint64_t whole_encoded =
       wire::EncodedTreeSize(*f.sys.peer(f.origin)->GetDocument("d"));
-  ASSERT_GT(delta, whole_encoded);
+  ASSERT_GT(delta, static_cast<double>(whole_encoded));
   CostModel cached(&f.sys, /*assume_replica_cache=*/true);
   CostModel plain(&f.sys, /*assume_replica_cache=*/false);
   ExprPtr doc = Expr::Doc("d", f.origin);
@@ -851,7 +937,7 @@ TEST(ShardedReplicaTest, NestedManifestDocumentReplicatesEndToEnd) {
   cfg.max_shard_bytes = 2048;
   sys.replicas().set_sharding_config(cfg);
   sys.replicas().set_sharding_enabled(true);
-  ASSERT_TRUE(sys.replicas().ShardedReadApplies(origin, "d"));
+  ASSERT_NE(sys.replicas().OriginShards(origin, "d"), nullptr);
 
   Evaluator plain(&sys);
   Evaluator ev(&sys, CachingOptions());

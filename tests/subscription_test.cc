@@ -1,6 +1,6 @@
 // Unit tests for the push-refresh subscription table plus the
 // correctness fixes riding along with it: the Version() base contract,
-// the no-allocation LookupFresh miss path, and the TransferCache stats
+// the no-allocation ReadFresh miss path, and the TransferCache stats
 // invariants (immediate-eviction Put, dedup alias erase on promotion,
 // TotalStats arithmetic across peers).
 
@@ -101,23 +101,22 @@ TEST(VersionContractTest, FirstEverMutationInvalidatesPreexistingCopies) {
   // Snapshot taken at the never-seen version (no install event fired
   // for this name yet — e.g. state seeded outside the listener).
   const uint64_t snap = sys.replicas().Version(owner, "d");
-  ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
-                                        t->Clone(sys.peer(reader)->gen()),
-                                        snap));
+  ASSERT_TRUE(sys.replicas().InsertCopy(
+      reader, owner, "d", {.whole = t->Clone(sys.peer(reader)->gen())}, snap));
   ASSERT_TRUE(sys.replicas().HasFresh(reader, owner, "d"));
   // The first-ever mutation event must strand that copy.
   sys.replicas().NoteMutation(owner, "d");
   EXPECT_FALSE(sys.replicas().HasFresh(reader, owner, "d"));
 }
 
-// --- LookupFresh allocation fix (regression) ---
+// --- ReadFresh allocation fix (regression) ---
 
 TEST(LookupFreshTest, MissDoesNotAllocateACacheForTheReader) {
   AxmlSystem sys;
   PeerId owner = sys.AddPeer("owner");
   PeerId reader = sys.AddPeer("reader");
-  EXPECT_EQ(sys.replicas().LookupFresh(reader, owner, "d"), nullptr);
-  EXPECT_EQ(sys.replicas().LookupFresh(reader, owner, "d"), nullptr);
+  EXPECT_EQ(sys.replicas().ReadFresh(reader, owner, "d"), nullptr);
+  EXPECT_EQ(sys.replicas().ReadFresh(reader, owner, "d"), nullptr);
   // No TransferCache (plus evict listener) sprang into existence for a
   // peer that only ever read.
   EXPECT_EQ(sys.replicas().FindCache(reader), nullptr);
@@ -173,11 +172,12 @@ TEST(CacheStatsTest, PromotionErasesEveryDedupAliasOfTheBlob) {
   TreePtr a = MakeCatalog(8, &g1, &r1);
   TreePtr b = MakeCatalog(8, &g2, &r2);
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, o1, "d", a, sys.replicas().Version(o1, "d")));
+      reader, o1, "d", {.whole = a}, sys.replicas().Version(o1, "d")));
   // The second origin publishes the same content under another name, so
   // both cache entries live in the reader's cache and share the blob.
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, o2, "mirror", b, sys.replicas().Version(o2, "mirror")));
+      reader, o2, "mirror", {.whole = b},
+      sys.replicas().Version(o2, "mirror")));
   const TransferCache* cache = sys.replicas().FindCache(reader);
   ASSERT_NE(cache, nullptr);
   ASSERT_EQ(cache->entry_count(), 2u);
@@ -297,13 +297,15 @@ TEST(CacheStatsTest, CostAwareProtectsTheExpensiveDistantCopy) {
   sys.replicas().set_default_byte_budget(wire::EncodedTreeSize(*big) +
                                          wire::EncodedTreeSize(*small) + 64);
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, far, "hot", big, sys.replicas().Version(far, "hot")));
+      reader, far, "hot", {.whole = big}, sys.replicas().Version(far, "hot")));
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, near, "c0", small, sys.replicas().Version(near, "c0")));
+      reader, near, "c0", {.whole = small},
+      sys.replicas().Version(near, "c0")));
   // Over budget now: someone must go — the cheap nearby copy, not the
   // expensive distant one, even though the distant one is older.
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, near, "c1", extra, sys.replicas().Version(near, "c1")));
+      reader, near, "c1", {.whole = extra},
+      sys.replicas().Version(near, "c1")));
   EXPECT_TRUE(sys.replicas().HasFresh(reader, far, "hot"));
   EXPECT_FALSE(sys.replicas().HasFresh(reader, near, "c0"));
   EXPECT_GT(sys.replicas().TotalStats().bytes_evicted, 0u);
@@ -319,18 +321,18 @@ TEST(CacheStatsTest, TotalStatsSumsAcrossPeersAndUncachedMisses) {
   TreePtr t = MakeCatalog(8, &gen, &rng);
 
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      r1, owner, "d", t->Clone(sys.peer(r1)->gen()),
+      r1, owner, "d", {.whole = t->Clone(sys.peer(r1)->gen())},
       sys.replicas().Version(owner, "d")));
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      r2, owner, "d", t->Clone(sys.peer(r2)->gen()),
+      r2, owner, "d", {.whole = t->Clone(sys.peer(r2)->gen())},
       sys.replicas().Version(owner, "d")));
   // r1: one hit. r2: one hit, one (stale-free) hit. A third peer that
   // never cached: one manager-side miss.
-  EXPECT_NE(sys.replicas().LookupFresh(r1, owner, "d"), nullptr);
-  EXPECT_NE(sys.replicas().LookupFresh(r2, owner, "d"), nullptr);
-  EXPECT_NE(sys.replicas().LookupFresh(r2, owner, "d"), nullptr);
+  EXPECT_NE(sys.replicas().ReadFresh(r1, owner, "d"), nullptr);
+  EXPECT_NE(sys.replicas().ReadFresh(r2, owner, "d"), nullptr);
+  EXPECT_NE(sys.replicas().ReadFresh(r2, owner, "d"), nullptr);
   PeerId r3 = sys.AddPeer("r3");
-  EXPECT_EQ(sys.replicas().LookupFresh(r3, owner, "d"), nullptr);
+  EXPECT_EQ(sys.replicas().ReadFresh(r3, owner, "d"), nullptr);
 
   const TransferCacheStats total = sys.replicas().TotalStats();
   EXPECT_EQ(total.inserts, 2u);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Eight checks over src/ (and tests/, bench/, examples/ where noted),
+Nine checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
 
@@ -64,6 +64,15 @@ comments:
                        every earlier call in the process, so output
                        depends on test order and on how many systems
                        exist. Keep such state in the owning object.
+
+  canonical-string     CanonicalForm() builds a string per subtree; it
+                       is the reference oracle for the Merkle walk
+                       (xml/digest.h), not a way to compare or hash
+                       trees. Under src/ only its definition
+                       (xml/tree_equal.*) and AxmlSystem::
+                       StateFingerprint (peer/system.cc) may call it;
+                       everything else uses DigestOf or
+                       TreesEqualUnordered.
 
 Suppressions: append ``// lint: allow-<check>`` (e.g. ``// lint:
 allow-determinism``) to the flagged line or the line above. Use rarely;
@@ -474,6 +483,54 @@ def check_mutable_static(sf: SourceFile) -> Iterator[Finding]:
         head += " "
 
 
+# --- canonical-string ---
+
+# Where CanonicalForm may be called: the files that define it, and the
+# one function of peer/system.cc that renders Σ as text.
+CANONICAL_STRING_ALLOWED: dict[str, str | None] = {
+    "src/xml/tree_equal.h": None,
+    "src/xml/tree_equal.cc": None,
+    "src/peer/system.cc": "StateFingerprint",
+}
+
+_CANONICAL_CALL_RE = re.compile(r"\bCanonicalForm\s*\(")
+# A function definition starts at column 0; its name is the first word
+# followed by '(' ("std::string AxmlSystem::StateFingerprint() const {").
+_DEFINITION_RE = re.compile(r"^[A-Za-z_][^;]*?\b(\w+)\s*\(")
+
+
+def enclosing_function(sf: SourceFile, line: int) -> str | None:
+    """Name of the top-level definition the 1-based `line` sits in."""
+    for code in reversed(sf.code[:line]):
+        m = _DEFINITION_RE.match(code)
+        if m:
+            return m.group(1)
+    return None
+
+
+def check_canonical_string(sf: SourceFile) -> Iterator[Finding]:
+    """CanonicalForm is an oracle: src/ compares trees by digest."""
+    rel = "/".join(sf.path.relative_to(REPO_ROOT).parts)
+    allowed_in = CANONICAL_STRING_ALLOWED.get(rel, "")
+    if allowed_in is None:
+        return
+    for i, line in enumerate(sf.code, 1):
+        if not _CANONICAL_CALL_RE.search(line):
+            continue
+        if allowed_in and enclosing_function(sf, i) == allowed_in:
+            continue
+        if suppressed(sf, i, "canonical-string"):
+            continue
+        yield Finding(
+            sf.path,
+            i,
+            "canonical-string",
+            "CanonicalForm() builds a string per subtree — compare with "
+            "TreesEqualUnordered, identify with DigestOf (xml/digest.h); "
+            "CanonicalForm is the tests' reference oracle",
+        )
+
+
 def run_checks() -> list[Finding]:
     findings: list[Finding] = []
     for path in cxx_files(["src", "tests", "bench", "examples"]):
@@ -487,6 +544,7 @@ def run_checks() -> list[Finding]:
             findings.extend(check_header_hygiene(sf))  # #pragma once ban
         if top == "src":
             findings.extend(check_mutable_static(sf))
+            findings.extend(check_canonical_string(sf))
         if top == "src" and "fault_injector" in path.name:
             findings.extend(check_injected_rng(sf))
         rel_posix = "/".join(rel_parts)

@@ -147,6 +147,32 @@ class MutableStaticTest(unittest.TestCase):
         self.assertEqual(flagged_lines(findings, "mutable-static"), marked_lines(sf))
 
 
+class CanonicalStringTest(unittest.TestCase):
+    OUTSIDE = "flagged outside peer/system.cc"
+
+    def test_flags_calls_outside_the_oracle_home(self) -> None:
+        sf = fixture(
+            "bad_canonical_string.cc", pose_as="scenario/bad_canonical_string.cc"
+        )
+        findings = list(cs.check_canonical_string(sf))
+        self.assertEqual(
+            flagged_lines(findings, "canonical-string"),
+            sorted(marked_lines(sf) + marked_lines(sf, self.OUTSIDE)),
+        )
+
+    def test_state_fingerprint_is_the_one_exemption_in_system_cc(self) -> None:
+        sf = fixture("bad_canonical_string.cc", pose_as="peer/system.cc")
+        findings = list(cs.check_canonical_string(sf))
+        self.assertEqual(
+            flagged_lines(findings, "canonical-string"), marked_lines(sf)
+        )
+
+    def test_definition_files_are_skipped(self) -> None:
+        for home in ("xml/tree_equal.cc", "xml/tree_equal.h"):
+            sf = fixture("bad_canonical_string.cc", pose_as=home)
+            self.assertEqual(list(cs.check_canonical_string(sf)), [], home)
+
+
 class CleanFixtureTest(unittest.TestCase):
     def test_no_check_fires_on_clean_code(self) -> None:
         sf = fixture("clean.cc")

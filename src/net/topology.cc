@@ -44,11 +44,6 @@ Topology Topology::Hierarchical(const HierarchySpec& spec) {
   return t;
 }
 
-uint32_t Topology::RegionOf(PeerId p) const {
-  if (!p.is_concrete() || p.index() >= region_of_.size()) return UINT32_MAX;
-  return region_of_[p.index()];
-}
-
 void Topology::AddNeighborEdge(PeerId a, PeerId b) {
   neighbors_[a].push_back(b);
   neighbors_[b].push_back(a);

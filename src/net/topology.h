@@ -93,10 +93,6 @@ class Topology {
   };
   static Topology Hierarchical(const HierarchySpec& spec);
 
-  /// Region index of `p` in a Hierarchical topology; UINT32_MAX for
-  /// peers outside the hierarchy (or a non-hierarchical topology).
-  uint32_t RegionOf(PeerId p) const;
-
  private:
   static uint64_t Key(PeerId a, PeerId b) {
     return (static_cast<uint64_t>(a.index()) << 32) | b.index();

@@ -761,26 +761,26 @@ const ShardedDocument* ReplicaManager::OriginShards(
   if (!sharding_enabled_ || sys_ == nullptr || !origin.is_concrete()) {
     return nullptr;
   }
-  Peer* host = sys_->peer(origin);
   const ReplicaKey key{origin, name};
-  TreePtr root = host == nullptr ? nullptr : host->GetDocument(name);
-  // Service calls are excluded as on every caching path: a shard blob
-  // would freeze their activation state.
-  if (root == nullptr || root->ContainsServiceCall() ||
-      !ShouldShard(*root, shard_config_)) {
-    origin_shards_.erase(key);
-    return nullptr;
-  }
   const uint64_t version = Version(origin, name);
   auto it = origin_shards_.find(key);
-  if (it != origin_shards_.end() && it->second.version == version) {
-    return &it->second.sharded;
+  if (it == origin_shards_.end() || it->second.version != version) {
+    Peer* host = sys_->peer(origin);
+    TreePtr root = host == nullptr ? nullptr : host->GetDocument(name);
+    if (root == nullptr) {
+      origin_shards_.erase(key);
+      return nullptr;
+    }
+    OriginShardState state;
+    state.version = version;
+    // Service calls are excluded as on every caching path: a shard blob
+    // would freeze their activation state.
+    if (!root->ContainsServiceCall() && ShouldShard(*root, shard_config_)) {
+      state.sharded = SplitDocument(*root, shard_config_, host->gen());
+    }
+    it = origin_shards_.insert_or_assign(key, std::move(state)).first;
   }
-  OriginShardState state;
-  state.version = version;
-  state.sharded = SplitDocument(*root, shard_config_, host->gen());
-  auto pos = origin_shards_.insert_or_assign(key, std::move(state)).first;
-  return &pos->second.sharded;
+  return it->second.sharded ? &*it->second.sharded : nullptr;
 }
 
 double ReplicaManager::ReadTransferBytes(PeerId reader, PeerId origin,

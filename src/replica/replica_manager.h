@@ -67,6 +67,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -289,11 +290,12 @@ class ReplicaManager {
   void set_sharding_config(ShardingConfig cfg);
   const ShardingConfig& sharding_config() const { return shard_config_; }
 
-  /// The current sharded form of origin's `name`, split once per
-  /// document version and cached. nullptr when sharding is disabled, the
-  /// document is absent or too small, or it embeds service calls (their
-  /// activation state must not be frozen into shard blobs). Logically
-  /// const: the memoized split and the origin's NodeIdGen do mutate.
+  /// The current sharded form of origin's `name`, decided and split once
+  /// per document version and cached; a repeat call is a memo lookup.
+  /// nullptr when sharding is disabled, the document is absent or too
+  /// small, or it embeds service calls (their activation state must not
+  /// be frozen into shard blobs). Logically const: the memoized split and
+  /// the origin's NodeIdGen do mutate.
   const ShardedDocument* OriginShards(PeerId origin,
                                       const DocName& name) const;
 
@@ -503,11 +505,11 @@ class ReplicaManager {
   void ExportMetrics(MetricSink& sink) const;
 
  private:
-  /// Memoized origin-side split: recomputed when the document's version
-  /// moves past `version`.
+  /// Memoized origin-side split, or the answer "ships whole" (nullopt):
+  /// recomputed when the document's version moves past `version`.
   struct OriginShardState {
     uint64_t version = 0;
-    ShardedDocument sharded;
+    std::optional<ShardedDocument> sharded;
   };
 
   /// Retracts the local document + catalog + generic-class advertisements

@@ -152,7 +152,7 @@ FleetReport FleetHarness::Run() {
     if (config_.check_fresh_reads) {
       TreePtr truth = sys_.peer(doc.origin)->GetDocument(doc.name);
       if (out->results.size() != 1 || truth == nullptr ||
-          CanonicalForm(*out->results[0]) != CanonicalForm(*truth)) {
+          !TreesEqualUnordered(*out->results[0], *truth)) {
         ++report.stale_reads;
       }
     }

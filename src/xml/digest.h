@@ -1,27 +1,29 @@
-// Content digests of canonical tree forms.
+// Content digests: one bottom-up Merkle walk over unordered trees (§2.1).
 //
-// A tree is identified by a digest of its *canonical* form (tree_equal.h),
-// so unordered-equal trees — however they were obtained, from whichever
-// origin — digest equal. Two consumers build on this: the replica layer's
-// content-addressed blob store (two copies of equal trees share one
-// stored blob), and the sharding layer (sharding.h), whose shard ids are
-// digests — an unchanged subtree keeps its id across document versions,
-// which is what makes delta shipment possible. The digest combines the
-// order-insensitive structural hash with an FNV-1a over the canonical
-// serialization; a collision requires both 64-bit halves to agree on
-// unequal trees.
+// One post-order pass hashes every node — a text leaf from its bytes, an
+// element from its label, its child count and its children's digests,
+// sorted — so unordered-equal trees digest equal and node identifiers do
+// not participate. The same pass yields the canonical child order
+// (children sorted by digest; a digest tie is broken structurally, which
+// keeps the order total). The wire encoder walks that order, so equal
+// trees encode byte-identically; TreesEqualUnordered is a digest check
+// plus a structural confirm; the blob store and the shard ids
+// (sharding.h) are content addresses. Not cryptographic: a false match
+// needs both 64-bit lanes to collide.
 
 #ifndef AXML_XML_DIGEST_H_
 #define AXML_XML_DIGEST_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "xml/tree.h"
 
 namespace axml {
 
-/// 128-bit content digest of one tree's canonical form.
+/// 128-bit order-insensitive Merkle digest of one tree.
 struct ContentDigest {
   uint64_t hi = 0;
   uint64_t lo = 0;
@@ -35,9 +37,33 @@ struct ContentDigest {
   std::string ToString() const;
 };
 
-/// Digest of `node`'s canonical (order-insensitive) form. Unordered-equal
+/// One node of the Merkle walk: its digest and its children in
+/// canonical order. Borrows `node`; the tree must outlive the walk.
+struct MerkleNode {
+  const TreeNode* node = nullptr;
+  ContentDigest digest;
+  std::vector<MerkleNode> kids;
+};
+
+/// The single post-order pass: digests every node of `root` and sorts
+/// each child list canonically (CompareCanonical).
+MerkleNode MerkleTree(const TreeNode& root);
+
+/// Total order over walked trees: by digest, and on a digest tie by
+/// structure (kind, text or label, child count, then children in
+/// canonical order). Returns <0, 0 or >0; 0 iff the trees are
+/// unordered-equal.
+int CompareCanonical(const MerkleNode& a, const MerkleNode& b);
+
+/// Digest of `node` (the root hash of MerkleTree). Unordered-equal
 /// trees digest equal; node identifiers do not participate.
 ContentDigest DigestOf(const TreeNode& node);
+
+/// Digest of an element labeled `label` whose children digest to
+/// `child_digests`, in any order: DigestOf of that element, without
+/// walking the children again.
+ContentDigest ElementDigest(std::string_view label,
+                            std::vector<ContentDigest> child_digests);
 
 }  // namespace axml
 

@@ -38,30 +38,34 @@ struct Splitter {
   uint64_t modulus;    // resolved boundary modulus (>= 1)
 
   /// Wraps `group` into a `#shard-data` shard, records it, and appends
-  /// its `#shard` reference under `manifest_node`.
-  void EmitGroup(std::vector<const TreeNode*>& group, TreePtr& manifest_node) {
+  /// its `#shard` reference under `manifest_node`. `digests` holds each
+  /// member's digest, so the id needs no second walk of the group.
+  void EmitGroup(std::vector<const TreeNode*>& group,
+                 std::vector<ContentDigest>& digests, TreePtr& manifest_node) {
     if (group.empty()) return;
     TreePtr content = TreeNode::Element(kShardDataLabel, gen);
     for (const TreeNode* member : group) {
       content->AddChild(member->Clone(gen));
     }
     DocumentShard shard;
-    shard.id = DigestOf(*content);
+    shard.id = ElementDigest(kShardDataLabel, std::move(digests));
     shard.bytes = wire::EncodedTreeSize(*content);
     shard.content = std::move(content);
     manifest_node->AddChild(
         MakeTextElement(kShardRefLabel, shard.id.ToString(), gen));
     out->shards.push_back(std::move(shard));
     group.clear();
+    digests.clear();
   }
 
   /// Groups `node`'s children into shards and sub-manifests, appending
   /// manifest entries (in document order) under `manifest_node`.
   void SplitChildren(const TreeNode& node, TreePtr& manifest_node) {
     std::vector<const TreeNode*> current;
+    std::vector<ContentDigest> current_digests;
     uint64_t current_bytes = 0;
     auto close = [&] {
-      EmitGroup(current, manifest_node);
+      EmitGroup(current, current_digests, manifest_node);
       current_bytes = 0;
     };
     for (const TreePtr& child : node.children()) {
@@ -86,6 +90,7 @@ struct Splitter {
                          << " B exceeds the " << cfg.max_shard_bytes
                          << " B cap; shipping as an oversized shard";
           current.push_back(child.get());
+          current_digests.push_back(DigestOf(*child));
           current_bytes = child_bytes;
           close();
         }
@@ -96,15 +101,16 @@ struct Splitter {
           current_bytes + child_bytes > cfg.max_shard_bytes) {
         close();
       }
+      const ContentDigest digest = DigestOf(*child);
       current.push_back(child.get());
+      current_digests.push_back(digest);
       current_bytes += child_bytes;
       // Content-defined cut: the boundary is a property of the child's
       // content, so an insertion or deletion upstream re-synchronizes at
       // the next surviving boundary child instead of shifting every
       // later group.
       if (cfg.boundary == ShardBoundary::kContentDefined &&
-          current_bytes >= min_bytes &&
-          DigestOf(*child).lo % modulus == 0) {
+          current_bytes >= min_bytes && digest.lo % modulus == 0) {
         close();
       }
     }
@@ -113,22 +119,6 @@ struct Splitter {
 };
 
 }  // namespace
-
-const char* ShardBoundaryName(ShardBoundary b) {
-  switch (b) {
-    case ShardBoundary::kGreedy:
-      return "greedy";
-    case ShardBoundary::kContentDefined:
-      return "content_defined";
-  }
-  return "?";
-}
-
-uint64_t ShardedDocument::TotalBytes() const {
-  uint64_t total = manifest_bytes;
-  for (const DocumentShard& s : shards) total += s.bytes;
-  return total;
-}
 
 bool ShouldShard(const TreeNode& root, const ShardingConfig& cfg) {
   return root.is_element() && Splittable(root) &&

@@ -1,45 +1,33 @@
 // Subtree sharding: splitting one large document into content-addressed
 // shards so partial copies become possible.
 //
-// The replica layer materializes transferred trees as local copies (the
-// paper's rule (13)), but a whole-tree copy is all-or-nothing: a document
+// A whole-tree copy (the paper's rule (13)) is all-or-nothing: a document
 // bigger than a holder's byte budget can never be cached, refreshed or
-// proactively placed, no matter how hot its subtrees are. The splitter
-// here partitions an unranked tree into subtree shards:
+// placed, however hot its subtrees are. The splitter partitions it:
 //
 //  - the root's children are grouped, in insertion order, into shards
-//    whose serialized size stays under ShardingConfig::max_shard_bytes.
-//    Group boundaries are *content-defined* by default (see below); the
-//    pure greedy size cut survives as ShardBoundary::kGreedy for benches
-//    and back-to-back comparison;
-//  - a child bigger than the cap is split *recursively*: its own children
-//    shard the same way, and the manifest records a nested sub-manifest
-//    node in its place — so no data shard exceeds the cap except a single
+//    whose serialized size stays under ShardingConfig::max_shard_bytes;
+//  - a child bigger than the cap is split *recursively* under a nested
+//    sub-manifest node, so no data shard exceeds the cap except a single
 //    indivisible node (a text leaf or a childless/one-leaf element),
-//    which travels as its own oversized shard and bumps
-//    ShardedDocument::oversized_leaves;
-//  - each shard's id is the ContentDigest of its canonical form, so an
-//    unchanged group of subtrees keeps its id across document versions —
-//    a mutation of one subtree dirties exactly the shard holding it, and
-//    only that shard must cross the wire again;
-//  - a small root *manifest* shard records the document's root element
-//    and the ordered tree of child-shard ids (nested sub-manifests
-//    included). The manifest is itself a tree, so it ships, caches and
-//    dedups through the same machinery as any other content.
+//    which travels alone and bumps ShardedDocument::oversized_leaves;
+//  - each shard's id is the Merkle digest (digest.h) of its
+//    `#shard-data` element, built from its members' digests — the ones
+//    the boundary rule below already computed. An unchanged group keeps
+//    its id across versions, so a mutation of one subtree re-ships only
+//    the shard holding it;
+//  - a small *manifest* tree records the root element and the ordered
+//    tree of shard ids; it ships, caches and dedups like any content.
 //
 // Reassembly (AssembleDocument) is exact up to node identifiers: the
-// assembled tree is unordered-equal to the original (tree_equal.h), which
-// is the only equality the system observes.
+// result is unordered-equal (tree_equal.h) to the original.
 //
-// Shard-id stability: under ShardBoundary::kContentDefined a group
-// closes after a child whose content digest satisfies
-// `digest mod boundary_modulus == 0` (clamped to [min, max] group
-// bytes). The boundary is a property of the child's *content*, not of
-// accumulated size, so an insertion or deletion re-synchronizes at the
-// next surviving boundary child: O(1) neighboring shard ids dirty
-// instead of every downstream one. Under kGreedy a size-shifting
-// mutation can move every later boundary and degrade toward
-// whole-document re-shipment (never past it).
+// Boundaries: under kContentDefined (the default) a group closes after a
+// child whose digest satisfies `lo % boundary_modulus == 0` (clamped to
+// [min, max] group bytes), so an insertion or deletion re-synchronizes
+// at the next surviving boundary child and dirties O(1) neighboring ids.
+// Under kGreedy (kept for benches) a size-shifting mutation can move
+// every later boundary, degrading toward whole-document re-shipment.
 
 #ifndef AXML_XML_SHARDING_H_
 #define AXML_XML_SHARDING_H_
@@ -65,8 +53,6 @@ enum class ShardBoundary {
   kContentDefined,
 };
 
-const char* ShardBoundaryName(ShardBoundary b);
-
 /// Knobs for the splitter.
 struct ShardingConfig {
   /// Target cap on one shard's serialized bytes. Also the sharding
@@ -89,7 +75,7 @@ struct ShardingConfig {
 
 /// One data shard: a group of sibling subtrees, wrapped for shipping.
 struct DocumentShard {
-  /// Digest of `content`'s canonical form — the shard's stable identity.
+  /// DigestOf(*content) — the shard's stable identity.
   ContentDigest id;
   /// A synthetic `#shard-data` element whose children are the group's
   /// subtrees (clones; the original tree is never aliased).
@@ -114,9 +100,6 @@ struct ShardedDocument {
   /// Indivisible nodes bigger than the cap that had to travel as their
   /// own oversized shard (also logged at Info by the splitter).
   uint64_t oversized_leaves = 0;
-
-  /// Manifest + data bytes: what shipping everything would cost.
-  uint64_t TotalBytes() const;
 };
 
 /// True when `root` is worth splitting under `cfg`: an element whose

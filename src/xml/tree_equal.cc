@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/str_util.h"
+#include "xml/digest.h"
 
 namespace axml {
 
@@ -31,41 +32,9 @@ bool TreesEqualUnordered(const TreeNode& a, const TreeNode& b) {
   if (a.is_text()) return a.text() == b.text();
   if (a.label() != b.label()) return false;
   if (a.child_count() != b.child_count()) return false;
-  // Fast path: hashes differ => unequal.
-  if (TreeHashUnordered(a) != TreeHashUnordered(b)) return false;
-  return CanonicalForm(a) == CanonicalForm(b);
-}
-
-namespace {
-uint64_t HashBytes(const std::string& s, uint64_t seed) {
-  // FNV-1a with a seed mix.
-  uint64_t h = 1469598103934665603ull ^ (seed * 0x9E3779B97F4A7C15ull);
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-}  // namespace
-
-uint64_t TreeHashUnordered(const TreeNode& node) {
-  if (node.is_text()) {
-    return HashBytes(node.text(), /*seed=*/1);
-  }
-  // Combine children hashes with an order-insensitive fold (sum + xor of
-  // a mixed form), then mix with the label.
-  uint64_t sum = 0, x = 0;
-  for (const auto& c : node.children()) {
-    uint64_t h = TreeHashUnordered(*c);
-    uint64_t mixed = h * 0xBF58476D1CE4E5B9ull;
-    mixed ^= mixed >> 31;
-    sum += mixed;
-    x ^= h;
-  }
-  uint64_t h = HashBytes(node.label_text(), /*seed=*/2);
-  h ^= sum + 0x94D049BB133111EBull + (h << 6) + (h >> 2);
-  h ^= x * 0x2545F4914F6CDD1Dull;
-  return h;
+  // CompareCanonical checks the digests first; only equal digests reach
+  // the structural confirm.
+  return CompareCanonical(MerkleTree(a), MerkleTree(b)) == 0;
 }
 
 }  // namespace axml

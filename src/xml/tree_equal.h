@@ -1,4 +1,4 @@
-// Unordered tree equality and canonical forms (§2.1, §2.3).
+// Unordered tree equality and the canonical-form oracle (§2.1, §2.3).
 //
 // The paper's document-equivalence ≡ is defined in terms of fixpoints of
 // service-call activation [5] and is not computable in general. Deployed
@@ -9,6 +9,12 @@
 // to compare final system states in the rule-equivalence property tests,
 // and the building block the GenericCatalog uses when verifying declared
 // equivalence classes.
+//
+// TreesEqualUnordered runs on the Merkle walk (digest.h): a digest check,
+// then a structural confirm. It builds no strings. CanonicalForm is the
+// string-building reference oracle it is tested against; outside this
+// file only tests, benchmarks and AxmlSystem::StateFingerprint call it
+// (scripts/check_source.py, canonical-string).
 
 #ifndef AXML_XML_TREE_EQUAL_H_
 #define AXML_XML_TREE_EQUAL_H_
@@ -21,15 +27,12 @@ namespace axml {
 
 /// Canonical serialization: children sorted by their own canonical form.
 /// Two trees are unordered-equal iff their canonical forms are identical.
-/// Costs O(n log n) comparisons over subtree strings.
+/// Costs O(n log n) comparisons over subtree strings — an oracle, not a
+/// hot path.
 std::string CanonicalForm(const TreeNode& node);
 
 /// Unordered deep equality, ignoring node identifiers and sibling order.
 bool TreesEqualUnordered(const TreeNode& a, const TreeNode& b);
-
-/// 64-bit order-insensitive structural hash consistent with
-/// TreesEqualUnordered (equal trees hash equal).
-uint64_t TreeHashUnordered(const TreeNode& node);
 
 }  // namespace axml
 

@@ -1,6 +1,5 @@
 #include "xml/wire.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -183,41 +182,8 @@ Status ReadHeader(Reader* r, MessageClass expect) {
 
 // --- tree encoding ---
 
-/// Canonically ordered view of one subtree: children sorted by their
-/// canonical form (tree_equal.h), each form computed exactly once, so
-/// unordered-equal trees walk — and therefore encode — identically.
-struct CanonNode {
-  const TreeNode* node = nullptr;
-  std::vector<CanonNode> kids;
-  std::string form;
-};
-
-CanonNode Canonicalize(const TreeNode& n) {
-  CanonNode c;
-  c.node = &n;
-  if (n.is_text()) {
-    c.form = StrCat("t:", n.text());
-    return c;
-  }
-  c.kids.reserve(n.child_count());
-  for (const auto& child : n.children()) {
-    c.kids.push_back(Canonicalize(*child));
-  }
-  std::sort(c.kids.begin(), c.kids.end(),
-            [](const CanonNode& a, const CanonNode& b) {
-              return a.form < b.form;
-            });
-  c.form = StrCat("e:", n.label_text(), "{");
-  for (const CanonNode& k : c.kids) {
-    c.form += k.form;
-    c.form.push_back('|');
-  }
-  c.form.push_back('}');
-  return c;
-}
-
 /// First-use label table over the canonical walk.
-void CollectLabels(const CanonNode& c, std::vector<LabelId>* order,
+void CollectLabels(const MerkleNode& c, std::vector<LabelId>* order,
                    std::vector<uint32_t>* index_of) {
   if (c.node->is_element()) {
     const LabelId label = c.node->label();
@@ -228,14 +194,14 @@ void CollectLabels(const CanonNode& c, std::vector<LabelId>* order,
       (*index_of)[label] = static_cast<uint32_t>(order->size());
       order->push_back(label);
     }
-    for (const CanonNode& k : c.kids) CollectLabels(k, order, index_of);
+    for (const MerkleNode& k : c.kids) CollectLabels(k, order, index_of);
   }
 }
 
 constexpr uint8_t kTagText = 0;
 constexpr uint8_t kTagElement = 1;
 
-void EncodeNode(const CanonNode& c, const std::vector<uint32_t>& index_of,
+void EncodeNode(const MerkleNode& c, const std::vector<uint32_t>& index_of,
                 std::string* out) {
   if (c.node->is_text()) {
     out->push_back(static_cast<char>(kTagText));
@@ -245,7 +211,7 @@ void EncodeNode(const CanonNode& c, const std::vector<uint32_t>& index_of,
   out->push_back(static_cast<char>(kTagElement));
   AppendVarint(index_of[c.node->label()], out);
   AppendVarint(c.kids.size(), out);
-  for (const CanonNode& k : c.kids) EncodeNode(k, index_of, out);
+  for (const MerkleNode& k : c.kids) EncodeNode(k, index_of, out);
 }
 
 Result<TreePtr> DecodeNode(Reader* r, const std::vector<LabelId>& labels,
@@ -277,7 +243,9 @@ Result<TreePtr> DecodeNode(Reader* r, const std::vector<LabelId>& labels,
 }
 
 void EncodeTreeBody(const TreeNode& root, std::string* out) {
-  const CanonNode canon = Canonicalize(root);
+  // Canonical child order (digest.h): unordered-equal trees walk — and
+  // therefore encode — identically.
+  const MerkleNode canon = MerkleTree(root);
   std::vector<LabelId> label_order;
   std::vector<uint32_t> index_of;
   CollectLabels(canon, &label_order, &index_of);

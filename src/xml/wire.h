@@ -8,16 +8,17 @@
 // e.g. budget admission). The format is deliberately small and
 // versioned:
 //
-//   byte 0   kWireVersion (1)
+//   byte 0   kWireVersion (2)
 //   byte 1   MessageClass
 //   body     class-specific, varint-framed (see docs/wire-format.md)
 //
 // Trees encode with a per-blob interned-label table and *canonical
-// child order* (children sorted by their canonical form, tree_equal.h),
-// so unordered-equal trees encode byte-identically — the property the
-// content-addressed blob store and shard ids already rely on. Decoding
-// mints fresh node ids from the receiving peer's NodeIdGen (§3.2: every
-// send copies the instance it sends).
+// child order* (children sorted by their Merkle digest, digest.h; a
+// digest tie is broken structurally), so unordered-equal trees encode
+// byte-identically — the property the content-addressed blob store and
+// shard ids already rely on. Decoding mints fresh node ids from the
+// receiving peer's NodeIdGen (§3.2: every send copies the instance it
+// sends).
 //
 // Decoders never trust the buffer: every length is bounds-checked,
 // recursion depth is capped, and any malformed input returns a
@@ -40,7 +41,7 @@ namespace axml {
 namespace wire {
 
 /// Bumped on any incompatible layout change; decoders reject mismatches.
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 
 /// Second header byte: what kind of message the payload carries. Used
 /// for per-class byte accounting (NetStats) and decode dispatch.

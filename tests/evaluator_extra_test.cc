@@ -8,6 +8,7 @@
 #include "algebra/expr_xml.h"
 #include "test_util.h"
 #include "xml/tree_equal.h"
+#include "xml/wire.h"
 #include "xml/xml_parser.h"
 
 namespace axml {
@@ -152,14 +153,20 @@ TEST_F(EvalExtraTest, FifoLinkOrdersServiceResponses) {
     xml += "<i>" + std::to_string(i) + "</i>";
   }
   xml += "</r>";
+  TreePtr param = Parse(p0_, xml);
+  // The provider emits in its own document order: the parameter as it
+  // decodes at p1, in the wire's canonical child order (xml/wire.h),
+  // not the order the caller built it in.
+  NodeIdGen at_provider(p1_);
+  TreePtr received =
+      wire::DecodeTree(wire::EncodeTree(*param), &at_provider).value();
   Evaluator ev(&sys_);
-  auto out = ev.Eval(
-      p0_, Expr::Call(p1_, "burst", {Expr::Tree(Parse(p0_, xml), p0_)}));
+  auto out = ev.Eval(p0_, Expr::Call(p1_, "burst", {Expr::Tree(param, p0_)}));
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_EQ(out->results.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(out->results[static_cast<size_t>(i)]->StringValue(),
-              std::to_string(i));
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(out->results[i]->StringValue(),
+              received->child(i)->StringValue());
   }
 }
 

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "net/catalog.h"
 #include "opt/cost_model.h"
+#include "peer/axml_doc.h"
 #include "replica/replica_manager.h"
 #include "replica/transfer_cache.h"
 #include "test_util.h"
@@ -689,6 +690,33 @@ TEST(ShardedReplicaTest, FreshWholeCopyIsPreferredOverReSharding) {
   f.sys.network().mutable_stats()->Reset();
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
   EXPECT_EQ(f.sys.network().stats().remote_bytes(), 0u);
+}
+
+// The layout decision is memoized per document version, the "ships
+// whole" answer included: gaining a service call stops sharding at the
+// next version, and removing it shards again.
+TEST(ShardedReplicaTest, ServiceCallTogglesShardingPerVersion) {
+  ShardedPeers f;
+  ReplicaManager& rm = f.sys.replicas();
+  Peer* host = f.sys.peer(f.origin);
+  ASSERT_NE(rm.OriginShards(f.origin, "d"), nullptr);
+
+  TreePtr with_call = host->GetDocument("d")->CloneSameIds();
+  ServiceCallSpec spec;
+  spec.provider = "origin";
+  spec.service = "svc";
+  with_call->AddChild(BuildServiceCall(spec, host->gen()));
+  host->PutDocument("d", with_call);
+  EXPECT_EQ(rm.OriginShards(f.origin, "d"), nullptr);
+  EXPECT_EQ(rm.OriginShards(f.origin, "d"), nullptr);  // from the memo
+
+  TreePtr without = with_call->CloneSameIds();
+  without->RemoveChild(without->child_count() - 1);
+  host->PutDocument("d", without);
+  const ShardedDocument* sd = rm.OriginShards(f.origin, "d");
+  ASSERT_NE(sd, nullptr);
+  EXPECT_EQ(rm.OriginShards(f.origin, "d"), sd);
+  EXPECT_TRUE(TreesEqualUnordered(*Reassemble(*sd, host->gen()), *without));
 }
 
 TEST(ShardedReplicaTest, DuplicateShardIdsCrossTheWireOnce) {

@@ -4,7 +4,10 @@
 #define AXML_TESTS_TEST_UTIL_H_
 
 #include <cstdlib>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -85,6 +88,109 @@ inline TreePtr MakeRandomTree(size_t n, NodeIdGen* gen, Rng* rng) {
     pool.push_back(child);
   }
   return pool[0];
+}
+
+/// A pair of trees for cross-checking DigestOf, TreesEqualUnordered
+/// and the wire encoding against the CanonicalForm oracle.
+struct NearMiss {
+  std::string edit;
+  TreePtr a;
+  TreePtr b;
+  /// Whether a and b are unordered-equal, when the edit decides it.
+  std::optional<bool> equal;
+};
+
+/// Seeded near misses of `t`, one edit each: relabel one node, edit one
+/// text, move one child, add a duplicate sibling (and the same duplicate
+/// elsewhere), shuffle every child list. `t` is not modified.
+inline std::vector<NearMiss> MakeNearMisses(const TreePtr& t, NodeIdGen* gen,
+                                            Rng* rng) {
+  // Every non-root node of `root` with its parent and child index.
+  struct Slot {
+    TreeNode* parent;
+    size_t index;
+  };
+  auto slots = [](const TreePtr& root) {
+    std::vector<Slot> out;
+    std::function<void(TreeNode*)> walk = [&](TreeNode* n) {
+      for (size_t i = 0; i < n->child_count(); ++i) {
+        out.push_back({n, i});
+        walk(n->child(i).get());
+      }
+    };
+    walk(root.get());
+    return out;
+  };
+  auto pick = [rng](const std::vector<Slot>& from, auto keep) {
+    std::vector<Slot> ok;
+    for (const Slot& s : from) {
+      if (keep(*s.parent->child(s.index))) ok.push_back(s);
+    }
+    return ok.empty() ? std::optional<Slot>() : ok[rng->Index(ok.size())];
+  };
+  auto is_element = [](const TreeNode& n) { return n.is_element(); };
+  auto is_text = [](const TreeNode& n) { return n.is_text(); };
+  std::vector<NearMiss> out;
+
+  TreePtr shuffled = t->CloneSameIds();
+  for (const Slot& s : slots(shuffled)) {
+    TreeNode* p = s.parent;
+    TreePtr moved = p->child(s.index);
+    p->RemoveChild(s.index);
+    p->InsertChild(rng->Index(p->child_count() + 1), moved);
+  }
+  out.push_back({"shuffle", t, shuffled, true});
+
+  TreePtr relabeled = t->CloneSameIds();
+  if (auto s = pick(slots(relabeled), is_element)) {
+    const TreePtr& old = s->parent->child(s->index);
+    TreePtr renamed = TreeNode::Element(old->label_text() + "~", gen);
+    for (const TreePtr& c : old->children()) renamed->AddChild(c);
+    s->parent->ReplaceChild(s->index, renamed);
+    out.push_back({"relabel", t, relabeled, false});
+  }
+
+  TreePtr edited = t->CloneSameIds();
+  if (auto s = pick(slots(edited), is_text)) {
+    TreeNode* leaf = s->parent->child(s->index).get();
+    leaf->set_text(leaf->text() + "!");
+    out.push_back({"edit text", t, edited, false});
+  }
+
+  TreePtr moved = t->CloneSameIds();
+  const std::vector<Slot> all = slots(moved);
+  if (auto s = pick(all, [](const TreeNode&) { return true; })) {
+    TreePtr child = s->parent->child(s->index);
+    // A new parent outside the moved subtree, other than the old one.
+    std::vector<TreeNode*> targets;
+    if (moved.get() != s->parent) targets.push_back(moved.get());
+    for (const Slot& o : all) {
+      TreeNode* n = o.parent->child(o.index).get();
+      if (n->is_element() && n != s->parent &&
+          child->FindNode(n->id()) == nullptr) {
+        targets.push_back(n);
+      }
+    }
+    if (!targets.empty()) {
+      s->parent->RemoveChild(s->index);
+      targets[rng->Index(targets.size())]->AddChild(child);
+      out.push_back({"move child", t, moved, std::nullopt});
+    }
+  }
+
+  TreePtr dup = t->CloneSameIds();
+  TreePtr dup_elsewhere = t->CloneSameIds();
+  if (auto s = pick(slots(dup), [](const TreeNode&) { return true; })) {
+    TreeNode* p = s->parent;
+    p->AddChild(p->child(s->index)->Clone(gen));
+    // The same duplicate in the other copy, inserted at a random spot.
+    TreeNode* q = dup_elsewhere->FindNode(p->id());
+    q->InsertChild(rng->Index(q->child_count() + 1),
+                   q->child(s->index)->Clone(gen));
+    out.push_back({"duplicate sibling", t, dup, false});
+    out.push_back({"duplicate elsewhere", dup, dup_elsewhere, true});
+  }
+  return out;
 }
 
 /// Multiset equality of two result streams under unordered tree

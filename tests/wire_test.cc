@@ -6,9 +6,9 @@
 //   1. Round trip: random trees, shipments, notify batches, lease
 //      renewals and digest exchanges decode back to the identical
 //      canonical form (trees) / field-identical struct (messages).
-//   2. Canonical stability: unordered-equal trees encode
-//      byte-identically — the property the content-addressed blob
-//      store and shard ids price against.
+//   2. Canonical stability: unordered-equal trees — and only they —
+//      encode byte-identically, the property the content-addressed
+//      blob store and shard ids price against.
 //   3. Robustness: truncations and random byte corruptions of valid
 //      buffers are rejected with a Status — never a crash — pinned by
 //      a fuzz-ish mutation loop.
@@ -83,6 +83,18 @@ TEST(WireModelTest, UnorderedEqualTreesEncodeByteIdentically) {
     ASSERT_TRUE(TreesEqualUnordered(*t, *shuffled));
     EXPECT_EQ(wire::EncodeTree(*t), wire::EncodeTree(*shuffled));
     EXPECT_EQ(wire::EncodedTreeSize(*t), wire::EncodeTree(*t).size());
+  }
+  // And only those: across one-edit near misses (duplicate siblings
+  // included, whose digests tie), blobs match exactly when the
+  // CanonicalForm oracle says the trees are equal.
+  for (int i = 0; i < 40; ++i) {
+    TreePtr t = i % 2 == 0 ? MakeRandomTree(2 + rng.Index(30), &gen, &rng)
+                           : MakeCatalog(1 + rng.Index(6), &gen, &rng, 4);
+    for (const testing::NearMiss& m : testing::MakeNearMisses(t, &gen, &rng)) {
+      const bool equal = CanonicalForm(*m.a) == CanonicalForm(*m.b);
+      EXPECT_EQ(wire::EncodeTree(*m.a) == wire::EncodeTree(*m.b), equal)
+          << m.edit;
+    }
   }
 }
 

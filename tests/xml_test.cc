@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "test_util.h"
+#include "xml/digest.h"
 #include "xml/schema.h"
 #include "xml/tree_equal.h"
 #include "xml/wire.h"
@@ -169,7 +170,7 @@ TEST(TreeEqualTest, IgnoresSiblingOrder) {
   auto b = ParseXml("<r><b>2</b><a>1</a></r>", &gen).value();
   EXPECT_TRUE(TreesEqualUnordered(*a, *b));
   EXPECT_EQ(CanonicalForm(*a), CanonicalForm(*b));
-  EXPECT_EQ(TreeHashUnordered(*a), TreeHashUnordered(*b));
+  EXPECT_EQ(DigestOf(*a), DigestOf(*b));
 }
 
 TEST(TreeEqualTest, DistinguishesMultisets) {
@@ -208,6 +209,51 @@ TEST(TreeEqualTest, RandomPermutationProperty) {
     };
     shuffle(shuffled);
     EXPECT_TRUE(TreesEqualUnordered(*t, *shuffled));
+    EXPECT_EQ(DigestOf(*t), DigestOf(*shuffled));
+    // One-edit near misses: the digest and TreesEqualUnordered agree
+    // with the CanonicalForm oracle, equal or not.
+    for (const testing::NearMiss& m : testing::MakeNearMisses(t, &gen, &rng)) {
+      const bool equal = CanonicalForm(*m.a) == CanonicalForm(*m.b);
+      if (m.equal.has_value()) {
+        EXPECT_EQ(equal, *m.equal) << m.edit;
+      }
+      EXPECT_EQ(DigestOf(*m.a) == DigestOf(*m.b), equal) << m.edit;
+      EXPECT_EQ(TreesEqualUnordered(*m.a, *m.b), equal) << m.edit;
+      EXPECT_EQ(TreesEqualUnordered(*m.b, *m.a), equal) << m.edit;
+    }
+  }
+}
+
+// A digest tie between unequal trees (a hash collision, forged here at
+// every node) falls through to the structural comparison, so the
+// canonical order stays total and antisymmetric.
+TEST(TreeEqualTest, DigestTieFallsBackToStructure) {
+  std::function<void(MerkleNode*)> collide = [&](MerkleNode* m) {
+    m->digest = ContentDigest{1, 2};
+    for (MerkleNode& kid : m->kids) collide(&kid);
+  };
+  NodeIdGen gen;
+  const std::vector<std::pair<const char*, const char*>> unequal = {
+      {"<r><a>1</a></r>", "<r><a>2</a></r>"},  // text
+      {"<r><a/></r>", "<r><b/></r>"},          // label
+      {"<r><a/></r>", "<r><a/><a/></r>"},      // child count
+      {"<r>a</r>", "<r><a/></r>"},             // kind
+  };
+  for (const auto& [xa, xb] : unequal) {
+    TreePtr x = ParseXml(xa, &gen).value();
+    TreePtr y = ParseXml(xb, &gen).value();
+    MerkleNode mx = MerkleTree(*x);
+    MerkleNode my = MerkleTree(*y);
+    EXPECT_NE(mx.digest, my.digest) << xa << " vs " << xb;
+    collide(&mx);
+    collide(&my);
+    const int forward = CompareCanonical(mx, my);
+    EXPECT_NE(forward, 0) << xa << " vs " << xb;
+    EXPECT_EQ(forward < 0, CompareCanonical(my, mx) > 0) << xa;
+    const TreePtr copy = x->CloneSameIds();
+    MerkleNode same = MerkleTree(*copy);
+    collide(&same);
+    EXPECT_EQ(CompareCanonical(mx, same), 0) << xa;
   }
 }
 

@@ -227,8 +227,8 @@ void RunBoundaryShift(benchmark::State& state, ShardBoundary boundary) {
   TreePtr grown = doc->CloneSameIds();
   grown->InsertChild(grown->child_count() / 2, wedge);
   for (auto _ : state) {
-    const ShardedDocument before = SplitDocument(*doc, cfg, &gen);
-    const ShardedDocument after = SplitDocument(*grown, cfg, &gen);
+    const ShardedDocument before = SplitDocument(*doc, cfg, &gen).value();
+    const ShardedDocument after = SplitDocument(*grown, cfg, &gen).value();
     state.counters["shards"] = static_cast<double>(before.shards.size());
     state.counters["dirtied_ids"] =
         static_cast<double>(DirtiedShardIds(before, after).size());
@@ -263,7 +263,6 @@ void BM_Sharding_NotifyFanout(benchmark::State& state) {
   // clearly more shards than holders even at the smoke size.
   ShardingConfig cfg;
   cfg.max_shard_bytes = 512;
-  cfg.min_shard_bytes = 128;
   sys->replicas().set_sharding_config(cfg);
   sys->replicas().set_sharding_enabled(true);
 

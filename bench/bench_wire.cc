@@ -12,6 +12,7 @@
 
 #include "bench_common.h"
 #include "xml/wire.h"
+#include "xml/xml_serializer.h"
 
 namespace axml {
 namespace {
@@ -29,7 +30,7 @@ Setup Build(int64_t n) {
   s.tree = bench::MakeCatalog(static_cast<size_t>(n), &gen, &rng,
                               /*desc_bytes=*/64);
   s.blob = wire::EncodeTree(*s.tree);
-  s.xml_bytes = s.tree->SerializedSize();  // lint: allow-size-estimate
+  s.xml_bytes = SerializeCompact(*s.tree).size();
   return s;
 }
 

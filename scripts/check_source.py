@@ -37,17 +37,14 @@ comments:
                        ``delete`` expressions are banned. Intentionally
                        leaky process-wide singletons are allowlisted.
 
-  size-estimate        In the layers that price or ship data (src/net,
-                       src/replica, src/opt, src/algebra, src/peer,
-                       src/scenario) a tree's size is its encoded wire
-                       size and trees cross links as encoded payloads
-                       (xml/wire.h). XML-text ``SerializedSize()`` call
-                       sites and clones handed straight to a network
-                       send reintroduce the priced != actual drift the
-                       wire format exists to kill. (src/xml keeps
-                       SerializedSize for sharding's grouping
-                       heuristics, where shard-boundary stability is
-                       the point.)
+  size-estimate        Under src/ a tree's size is its encoded wire
+                       size (wire::EncodedTreeSize, or a MerkleNode's
+                       ``bytes`` from the same walk) and trees cross
+                       links as encoded payloads (xml/wire.h). An
+                       XML-text ``SerializedSize()`` call site or a clone
+                       handed straight to a network send reintroduces
+                       a second byte measure that drifts from what the
+                       network charges.
 
   injected-rng         Fault-injection sources (src/**/fault_injector*)
                        draw randomness ONLY through the injected
@@ -354,24 +351,12 @@ def check_raw_new_delete(sf: SourceFile) -> Iterator[Finding]:
 
 # --- size-estimate ---
 
-# The layers where every byte count is (or prices) a transfer. src/xml
-# is exempt: sharding's grouping heuristics measure XML text size on
-# purpose (stable shard boundaries), and wire.cc is the encoder itself.
-SIZE_ESTIMATE_DIRS = (
-    "src/net",
-    "src/replica",
-    "src/opt",
-    "src/algebra",
-    "src/peer",
-    "src/scenario",
-)
-
 _SIZE_ESTIMATE_RE = re.compile(r"(?:\.|->)\s*SerializedSize\s*\(")
 _CLONE_SHIP_RE = re.compile(r"\bSend(?:Reliable|Notify)?\s*\(.*\bClone\s*\(")
 
 
 def check_size_estimate(sf: SourceFile) -> Iterator[Finding]:
-    """Priced layers read encoded sizes and ship encoded payloads."""
+    """src/ reads encoded sizes and ships encoded payloads."""
     for i, line in enumerate(sf.code, 1):
         if suppressed(sf, i, "size-estimate"):
             continue
@@ -380,9 +365,10 @@ def check_size_estimate(sf: SourceFile) -> Iterator[Finding]:
                 sf.path,
                 i,
                 "size-estimate",
-                "XML-text SerializedSize() in a priced layer — the wire "
-                "size is wire::EncodedTreeSize / wire::EncodedTextSize "
-                "(xml/wire.h); a parallel size estimate drifts from the "
+                "XML-text SerializedSize() under src/ — a size is the "
+                "encoded one: wire::EncodedTreeSize / "
+                "wire::EncodedTextSize (xml/wire.h), or MerkleNode::bytes "
+                "(xml/digest.h); a second byte measure drifts from the "
                 "bytes the network actually charges",
             )
         if _CLONE_SHIP_RE.search(line):
@@ -545,11 +531,9 @@ def run_checks() -> list[Finding]:
         if top == "src":
             findings.extend(check_mutable_static(sf))
             findings.extend(check_canonical_string(sf))
+            findings.extend(check_size_estimate(sf))
         if top == "src" and "fault_injector" in path.name:
             findings.extend(check_injected_rng(sf))
-        rel_posix = "/".join(rel_parts)
-        if rel_posix.startswith(tuple(d + "/" for d in SIZE_ESTIMATE_DIRS)):
-            findings.extend(check_size_estimate(sf))
         findings.extend(check_determinism(sf))
         findings.extend(check_unordered_iteration(sf))
         findings.extend(check_raw_new_delete(sf))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import pathlib
 import sys
 import unittest
+from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -121,9 +122,27 @@ class SizeEstimateTest(unittest.TestCase):
         findings = list(cs.check_size_estimate(sf))
         self.assertEqual(flagged_lines(findings, "size-estimate"), marked_lines(sf))
 
-    def test_priced_layers_are_gated_in_run_checks(self) -> None:
-        for d in cs.SIZE_ESTIMATE_DIRS:
-            self.assertTrue((cs.REPO_ROOT / d).is_dir(), d)
+    def test_all_of_src_is_gated_in_run_checks(self) -> None:
+        # The fixture posed in every src/ directory (src/xml included,
+        # where the splitter lives) and once outside src/.
+        raw = cs.load(FIXTURES / "bad_size_estimate.cc")
+        src_dirs = sorted(p for p in (cs.REPO_ROOT / "src").iterdir() if p.is_dir())
+        self.assertIn(cs.REPO_ROOT / "src" / "xml", src_dirs)
+        posed = [d / "bad_size_estimate.cc" for d in src_dirs]
+        outside = cs.REPO_ROOT / "tests" / "bad_size_estimate.cc"
+        with mock.patch.object(
+            cs, "cxx_files", lambda dirs: iter(posed + [outside])
+        ), mock.patch.object(
+            cs, "load", lambda path: cs.SourceFile(path, raw.raw, raw.code)
+        ):
+            findings = [f for f in cs.run_checks() if f.check == "size-estimate"]
+        for path in posed:
+            self.assertEqual(
+                sorted(f.line for f in findings if f.path == path),
+                marked_lines(raw),
+                path,
+            )
+        self.assertEqual([f for f in findings if f.path == outside], [])
 
 
 class InjectedRngTest(unittest.TestCase):

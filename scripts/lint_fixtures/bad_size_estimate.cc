@@ -1,6 +1,6 @@
 // Negative fixture for the size-estimate check: XML-text size
-// estimates and clone-shipping inside a priced layer (posed as
-// src/replica/...), plus the nearby shapes that must NOT fire.
+// estimates and clone-shipping under src/ (posed as a file there), plus
+// the nearby shapes that must NOT fire.
 
 #include <cstdint>
 
@@ -29,7 +29,7 @@ void PricedPaths(Tree* tree, Net* net, PeerId from, PeerId to) {
 
   // The waiver works on the line or the line above.
   const uint64_t d = tree->SerializedSize();  // lint: allow-size-estimate
-  // lint: allow-size-estimate — grouping heuristic, boundary stability.
+  // lint: allow-size-estimate — the reason goes here.
   const uint64_t e = tree->SerializedSize();
   (void)a; (void)b; (void)c; (void)d; (void)e;
 }

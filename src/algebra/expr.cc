@@ -1,6 +1,5 @@
 #include "algebra/expr.h"
 
-#include "algebra/expr_xml.h"
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "xml/wire.h"
@@ -187,11 +186,6 @@ std::string Expr::ToString() const {
                     ")");
   }
   return "?";
-}
-
-size_t Expr::SerializedSize() const {
-  NodeIdGen gen;
-  return SerializeCompactExpr(*this, &gen).size();
 }
 
 size_t Expr::NodeCount() const {

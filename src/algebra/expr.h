@@ -141,10 +141,6 @@ class Expr {
   /// "send(p2, q@p1(doc(catalog)@p0))".
   std::string ToString() const;
 
-  /// Serialized size in bytes when this expression itself is shipped
-  /// (delegation); equals the XML serialization's length.
-  size_t SerializedSize() const;
-
   /// Total number of Expr nodes (for optimizer budgets).
   size_t NodeCount() const;
 

@@ -39,7 +39,6 @@ class Topology {
   explicit Topology(LinkParams default_link) : default_(default_link) {}
 
   /// Default parameters for links without an override.
-  void set_default_link(LinkParams p) { default_ = p; }
   const LinkParams& default_link() const { return default_; }
 
   /// Overrides the directed link a->b.

@@ -132,9 +132,6 @@ class GenericCatalog {
     demand_listener_ = std::move(listener);
   }
 
-  void set_default_policy(PickPolicy p) { default_policy_ = p; }
-  PickPolicy default_policy() const { return default_policy_; }
-
   /// Reseeds the kRandom policy for reproducibility.
   void SeedRandom(uint64_t seed) { rng_.Seed(seed); }
 
@@ -173,7 +170,6 @@ class GenericCatalog {
   /// (class, caller) -> document picks; the placement demand signal.
   std::map<std::pair<std::string, PeerId>, uint64_t> doc_pick_demand_;
   DemandListener demand_listener_;
-  PickPolicy default_policy_ = PickPolicy::kNearest;
   Rng rng_;
   MemberValidator doc_validator_;
   MemberSizeHint size_hint_;

@@ -94,11 +94,6 @@ class Peer {
   void add_mutation_listener(MutationListener fn) {
     on_mutation_.push_back(std::move(fn));
   }
-  /// Replaces every registered listener (legacy single-listener hook).
-  void set_mutation_listener(MutationListener fn) {
-    on_mutation_.clear();
-    on_mutation_.push_back(std::move(fn));
-  }
 
  private:
   void NotifyMutation(const DocName& name) {

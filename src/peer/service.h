@@ -55,8 +55,6 @@ class Service {
   int arity() const { return arity_; }
   bool has_signature() const { return has_signature_; }
   const Signature& signature() const { return signature_; }
-  bool continuous() const { return continuous_; }
-  void set_continuous(bool c) { continuous_ = c; }
 
   /// Invokes a native body (is_declarative() must be false).
   Result<std::vector<TreePtr>> InvokeNative(
@@ -69,7 +67,6 @@ class Service {
   int arity_ = 0;
   bool has_signature_ = false;
   Signature signature_;
-  bool continuous_ = true;
 };
 
 }  // namespace axml

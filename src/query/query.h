@@ -36,8 +36,6 @@ class Query {
 
   /// Canonical text (the wire format of shipped queries).
   const std::string& text() const { return text_; }
-  /// Byte size charged when this query is shipped to another peer.
-  size_t SerializedSize() const { return text_.size(); }
 
   /// The identity query `for $x in input(0) return $x`.
   static Query Identity();

@@ -775,7 +775,7 @@ const ShardedDocument* ReplicaManager::OriginShards(
     state.version = version;
     // Service calls are excluded as on every caching path: a shard blob
     // would freeze their activation state.
-    if (!root->ContainsServiceCall() && ShouldShard(*root, shard_config_)) {
+    if (!root->ContainsServiceCall()) {
       state.sharded = SplitDocument(*root, shard_config_, host->gen());
     }
     it = origin_shards_.insert_or_assign(key, std::move(state)).first;

@@ -277,18 +277,16 @@ class ReplicaManager {
 
   // --- Document sharding (xml/sharding.h) ---
 
-  /// Turns sharded replication on or off. When on, documents for which
-  /// ShouldShard holds (bigger than sharding_config().max_shard_bytes,
-  /// >= 2 root children, no embedded service calls) replicate as
-  /// manifest + data shards; everything else keeps the whole-document
-  /// path. Off by default.
+  /// Turns sharded replication on or off. When on, documents that
+  /// SplitDocument splits (encoded size above the sharding config's
+  /// max_shard_bytes, >= 2 children at some depth, no
+  /// embedded service calls) replicate as manifest + data shards;
+  /// everything else keeps the whole-document path. Off by default.
   void set_sharding_enabled(bool on) { sharding_enabled_ = on; }
-  bool sharding_enabled() const { return sharding_enabled_; }
 
   /// Splitter knobs. Takes effect on the next version of each document
   /// (the per-origin split is cached per document version).
   void set_sharding_config(ShardingConfig cfg);
-  const ShardingConfig& sharding_config() const { return shard_config_; }
 
   /// The current sharded form of origin's `name`, decided and split once
   /// per document version and cached; a repeat call is a memo lookup.
@@ -368,9 +366,6 @@ class ReplicaManager {
   /// so an idle loop still quiesces and manual rounds stay possible).
   /// 0 cancels the tick. Default: off. Requires a bound system.
   void set_placement_tick_interval(SimTime interval_s);
-  SimTime placement_tick_interval() const {
-    return placement_tick_interval_;
-  }
 
   /// Demand-watermark placement: when `picks` > 0, a (class, caller)
   /// demand counter reaching `picks` posts one RunPlacement to the
@@ -380,9 +375,6 @@ class ReplicaManager {
   /// disables the trigger. Default: off.
   void set_placement_demand_watermark(uint64_t picks) {
     placement_demand_watermark_ = picks;
-  }
-  uint64_t placement_demand_watermark() const {
-    return placement_demand_watermark_;
   }
 
   /// The GenericCatalog demand-listener hook (AxmlSystem wires it up):

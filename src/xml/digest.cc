@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "xml/wire.h"
+
 namespace axml {
 
 namespace {
@@ -96,15 +98,20 @@ std::string ContentDigest::ToString() const {
 MerkleNode MerkleTree(const TreeNode& root) {
   MerkleNode m;
   m.node = &root;
+  // Tag byte, then a text leaf's length-prefixed bytes or an element's
+  // label index (one byte) and child count.
   if (root.is_text()) {
     Hasher h(kTextDomain);
     h.Bytes(root.text());
     m.digest = h.Finish();
+    m.bytes = 1 + wire::VarintSize(root.text().size()) + root.text().size();
     return m;
   }
+  m.bytes = 2 + wire::VarintSize(root.child_count());
   m.kids.reserve(root.child_count());
   for (const TreePtr& child : root.children()) {
     m.kids.push_back(MerkleTree(*child));
+    m.bytes += m.kids.back().bytes;
   }
   std::sort(m.kids.begin(), m.kids.end(),
             [](const MerkleNode& a, const MerkleNode& b) {

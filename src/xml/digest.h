@@ -5,11 +5,13 @@
 // sorted — so unordered-equal trees digest equal and node identifiers do
 // not participate. The same pass yields the canonical child order
 // (children sorted by digest; a digest tie is broken structurally, which
-// keeps the order total). The wire encoder walks that order, so equal
-// trees encode byte-identically; TreesEqualUnordered is a digest check
-// plus a structural confirm; the blob store and the shard ids
-// (sharding.h) are content addresses. Not cryptographic: a false match
-// needs both 64-bit lanes to collide.
+// keeps the order total) and each node's encoded size. The wire encoder
+// walks that order, so equal trees encode byte-identically;
+// TreesEqualUnordered is a digest check plus a structural confirm; the
+// splitter (sharding.h) reads every child's digest and size from one
+// walk of the document; the blob store and the shard ids are content
+// addresses. Not cryptographic: a false match needs both 64-bit lanes
+// to collide.
 
 #ifndef AXML_XML_DIGEST_H_
 #define AXML_XML_DIGEST_H_
@@ -37,16 +39,24 @@ struct ContentDigest {
   std::string ToString() const;
 };
 
-/// One node of the Merkle walk: its digest and its children in
-/// canonical order. Borrows `node`; the tree must outlive the walk.
+/// One node of the Merkle walk: its digest, its encoded size and its
+/// children in canonical order. Borrows `node`; the tree must outlive
+/// the walk.
 struct MerkleNode {
   const TreeNode* node = nullptr;
   ContentDigest digest;
+  /// The node's record as wire::EncodeTree writes it, children
+  /// included: a text leaf is tag + length varint + text, an element is
+  /// tag + label index + child-count varint + its children's `bytes`.
+  /// The label index is counted as one byte, which is exact while the
+  /// payload's label table holds fewer than 128 labels. The blob header
+  /// and the label table are per payload, so they are not included.
+  uint64_t bytes = 0;
   std::vector<MerkleNode> kids;
 };
 
-/// The single post-order pass: digests every node of `root` and sorts
-/// each child list canonically (CompareCanonical).
+/// The single post-order pass: digests and sizes every node of `root`
+/// and sorts each child list canonically (CompareCanonical).
 MerkleNode MerkleTree(const TreeNode& root);
 
 /// Total order over walked trees: by digest, and on a digest tie by

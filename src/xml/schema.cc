@@ -120,9 +120,6 @@ Particle Star(SchemaTypePtr t) {
 Particle Plus(SchemaTypePtr t) {
   return Particle{std::move(t), 1, Particle::kUnbounded};
 }
-Particle Occurs(SchemaTypePtr t, int lo, int hi) {
-  return Particle{std::move(t), lo, hi};
-}
 
 Status Signature::CheckInput(const std::vector<TreePtr>& args) const {
   if (args.size() != in.size()) {

@@ -82,7 +82,6 @@ Particle One(SchemaTypePtr t);                    ///< [1,1]
 Particle Opt(SchemaTypePtr t);                    ///< [0,1]
 Particle Star(SchemaTypePtr t);                   ///< [0,unbounded]
 Particle Plus(SchemaTypePtr t);                   ///< [1,unbounded]
-Particle Occurs(SchemaTypePtr t, int lo, int hi); ///< [lo,hi]
 
 /// A Web-service type signature (§2.1): input arity n with one type per
 /// parameter, and one output type. All trees successively sent by a

@@ -1,7 +1,7 @@
 #include "xml/sharding.h"
 
-#include <algorithm>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -17,6 +17,13 @@ constexpr const char kDocLabel[] = "#doc";
 constexpr const char kShardRefLabel[] = "#shard";
 constexpr const char kShardDataLabel[] = "#shard-data";
 
+/// Content-defined cuts wait until a group holds this fraction of the
+/// cap (all-boundary content must not emit one shard per child).
+constexpr uint64_t kMinShardDivisor = 4;
+/// A child closes its group when `digest.lo % kBoundaryModulus == 0`:
+/// past the min clamp, a group holds this many children on average.
+constexpr uint64_t kBoundaryModulus = 8;
+
 /// True when the recursive splitter can descend into `node`: an element
 /// with >= 2 children, or a single-child element chain that reaches one.
 bool Splittable(const TreeNode& node) {
@@ -29,23 +36,74 @@ bool Splittable(const TreeNode& node) {
   return false;  // the chain bottomed out in a text leaf
 }
 
+/// Adds the element labels of `m`'s subtree to `out`: the entries it
+/// needs in a payload's label table.
+void CollectLabels(const MerkleNode& m, std::set<LabelId>* out) {
+  if (m.node->is_element()) out->insert(m.node->label());
+  for (const MerkleNode& kid : m.kids) CollectLabels(kid, out);
+}
+
+/// A label's entry in a wire label table: length varint + text.
+uint64_t EntryBytes(LabelId label) {
+  return wire::VarintSize(LabelText(label).size()) + LabelText(label).size();
+}
+
+/// A shard being filled: its members and its label table.
+struct Group {
+  std::vector<const MerkleNode*> members;
+  std::set<LabelId> labels;   // `#shard-data` and the members' labels
+  uint64_t label_bytes = 0;   // the table's entries
+  uint64_t member_bytes = 0;  // the members' records
+
+  /// The encoded size of this group's `#shard-data` blob with `child`,
+  /// whose subtree holds `child_labels`, added: header, label table
+  /// (count varint + entries), the wrapper's record (tag, label index 0,
+  /// member-count varint) and the members' records. Exact below 128
+  /// labels per shard, as MerkleNode::bytes is.
+  uint64_t BytesWith(const MerkleNode& child,
+                     const std::set<LabelId>& child_labels) const {
+    uint64_t n = labels.size();
+    uint64_t table = label_bytes;
+    for (LabelId label : child_labels) {
+      if (labels.count(label) == 0) {
+        ++n;
+        table += EntryBytes(label);
+      }
+    }
+    return wire::kHeaderBytes + wire::VarintSize(n) + table + 2 +
+           wire::VarintSize(members.size() + 1) + member_bytes + child.bytes;
+  }
+
+  void Add(const MerkleNode& child, const std::set<LabelId>& child_labels) {
+    members.push_back(&child);
+    member_bytes += child.bytes;
+    for (LabelId label : child_labels) {
+      if (labels.insert(label).second) label_bytes += EntryBytes(label);
+    }
+  }
+};
+
 /// Shared state of one SplitDocument run.
 struct Splitter {
   const ShardingConfig& cfg;
   NodeIdGen* gen;
   ShardedDocument* out;
-  uint64_t min_bytes;  // resolved min clamp for content-defined cuts
-  uint64_t modulus;    // resolved boundary modulus (>= 1)
 
-  /// Wraps `group` into a `#shard-data` shard, records it, and appends
-  /// its `#shard` reference under `manifest_node`. `digests` holds each
-  /// member's digest, so the id needs no second walk of the group.
-  void EmitGroup(std::vector<const TreeNode*>& group,
-                 std::vector<ContentDigest>& digests, TreePtr& manifest_node) {
-    if (group.empty()) return;
+  static Group EmptyGroup() {
+    const LabelId wrapper = InternLabel(kShardDataLabel);
+    return Group{{}, {wrapper}, EntryBytes(wrapper), 0};
+  }
+
+  /// Wraps `group` into a `#shard-data` shard, records it, appends its
+  /// `#shard` reference under `manifest_node` and empties `group`. The
+  /// id is built from the members' walked digests.
+  void EmitGroup(Group& group, TreePtr& manifest_node) {
+    if (group.members.empty()) return;
     TreePtr content = TreeNode::Element(kShardDataLabel, gen);
-    for (const TreeNode* member : group) {
-      content->AddChild(member->Clone(gen));
+    std::vector<ContentDigest> digests;
+    for (const MerkleNode* member : group.members) {
+      content->AddChild(member->node->Clone(gen));
+      digests.push_back(member->digest);
     }
     DocumentShard shard;
     shard.id = ElementDigest(kShardDataLabel, std::move(digests));
@@ -54,89 +112,77 @@ struct Splitter {
     manifest_node->AddChild(
         MakeTextElement(kShardRefLabel, shard.id.ToString(), gen));
     out->shards.push_back(std::move(shard));
-    group.clear();
-    digests.clear();
+    group = EmptyGroup();
   }
 
-  /// Groups `node`'s children into shards and sub-manifests, appending
+  /// Groups `walked`'s children into shards and sub-manifests, appending
   /// manifest entries (in document order) under `manifest_node`.
-  void SplitChildren(const TreeNode& node, TreePtr& manifest_node) {
-    std::vector<const TreeNode*> current;
-    std::vector<ContentDigest> current_digests;
-    uint64_t current_bytes = 0;
-    auto close = [&] {
-      EmitGroup(current, current_digests, manifest_node);
-      current_bytes = 0;
-    };
-    for (const TreePtr& child : node.children()) {
-      const uint64_t child_bytes = child->SerializedSize();
-      if (child_bytes > cfg.max_shard_bytes) {
-        close();
-        if (Splittable(*child)) {
-          // Recursive split: a nested sub-manifest stands in for the
-          // oversized child; its own children group below.
-          TreePtr sub = TreeNode::Element(kSubManifestLabel, gen);
-          TreePtr holder = TreeNode::Element(kDocLabel, gen);
-          holder->AddChild(TreeNode::Element(child->label_text(), gen));
-          sub->AddChild(std::move(holder));
-          SplitChildren(*child, sub);
-          manifest_node->AddChild(std::move(sub));
-        } else {
-          // Indivisible (text leaf or a chain ending in one): it travels
-          // alone, over the cap — the one shape the byte budget cannot
-          // cut finer.
-          ++out->oversized_leaves;
-          AXML_LOG(Info) << "sharding: indivisible node of " << child_bytes
-                         << " B exceeds the " << cfg.max_shard_bytes
-                         << " B cap; shipping as an oversized shard";
-          current.push_back(child.get());
-          current_digests.push_back(DigestOf(*child));
-          current_bytes = child_bytes;
-          close();
-        }
+  void SplitChildren(const MerkleNode& walked, TreePtr& manifest_node) {
+    const uint64_t cap = cfg.max_shard_bytes;
+    // The walk sorts kids canonically; visit them in document order.
+    std::unordered_map<const TreeNode*, const MerkleNode*> walked_kid;
+    for (const MerkleNode& kid : walked.kids) walked_kid[kid.node] = &kid;
+    Group group = EmptyGroup();
+    for (const TreePtr& node : walked.node->children()) {
+      const MerkleNode& child = *walked_kid.at(node.get());
+      std::set<LabelId> labels;
+      CollectLabels(child, &labels);
+      uint64_t bytes = group.BytesWith(child, labels);
+      // Max clamp, both modes: never let a group overflow the cap.
+      if (!group.members.empty() && bytes > cap) {
+        EmitGroup(group, manifest_node);
+        bytes = group.BytesWith(child, labels);
+      }
+      if (bytes > cap && Splittable(*node)) {
+        // Over the cap on its own: a nested sub-manifest stands in for
+        // the child, and its own children group below.
+        TreePtr sub = TreeNode::Element(kSubManifestLabel, gen);
+        TreePtr holder = TreeNode::Element(kDocLabel, gen);
+        holder->AddChild(TreeNode::Element(node->label_text(), gen));
+        sub->AddChild(std::move(holder));
+        SplitChildren(child, sub);
+        manifest_node->AddChild(std::move(sub));
         continue;
       }
-      // Max clamp, both modes: never let a group overflow the cap.
-      if (!current.empty() &&
-          current_bytes + child_bytes > cfg.max_shard_bytes) {
-        close();
+      group.Add(child, labels);
+      if (bytes > cap) {
+        // Indivisible (text leaf or a chain ending in one): it travels
+        // alone, over the cap — the one shape the byte budget cannot
+        // cut finer.
+        ++out->oversized_leaves;
+        AXML_LOG(Info) << "sharding: indivisible node of " << bytes
+                       << " B exceeds the " << cap
+                       << " B cap; shipping as an oversized shard";
+        EmitGroup(group, manifest_node);
+        continue;
       }
-      const ContentDigest digest = DigestOf(*child);
-      current.push_back(child.get());
-      current_digests.push_back(digest);
-      current_bytes += child_bytes;
       // Content-defined cut: the boundary is a property of the child's
       // content, so an insertion or deletion upstream re-synchronizes at
       // the next surviving boundary child instead of shifting every
       // later group.
       if (cfg.boundary == ShardBoundary::kContentDefined &&
-          current_bytes >= min_bytes && digest.lo % modulus == 0) {
-        close();
+          bytes >= cap / kMinShardDivisor &&
+          child.digest.lo % kBoundaryModulus == 0) {
+        EmitGroup(group, manifest_node);
       }
     }
-    close();
+    EmitGroup(group, manifest_node);
   }
 };
 
 }  // namespace
 
-bool ShouldShard(const TreeNode& root, const ShardingConfig& cfg) {
-  return root.is_element() && Splittable(root) &&
-         root.SerializedSize() > cfg.max_shard_bytes;
-}
-
-ShardedDocument SplitDocument(const TreeNode& root,
-                              const ShardingConfig& cfg, NodeIdGen* gen) {
-  AXML_CHECK(ShouldShard(root, cfg));
-  ShardedDocument out;
-
-  Splitter splitter{
-      cfg, gen, &out,
-      /*min_bytes=*/
-      std::min(cfg.min_shard_bytes != 0 ? cfg.min_shard_bytes
-                                        : cfg.max_shard_bytes / 4,
-               cfg.max_shard_bytes),
-      /*modulus=*/std::max<uint64_t>(cfg.boundary_modulus, 1)};
+std::optional<ShardedDocument> SplitDocument(const TreeNode& root,
+                                             const ShardingConfig& cfg,
+                                             NodeIdGen* gen) {
+  if (!Splittable(root)) return std::nullopt;
+  const MerkleNode walked = MerkleTree(root);
+  std::set<LabelId> labels;
+  CollectLabels(walked, &labels);
+  uint64_t doc_bytes = wire::kHeaderBytes +
+                       wire::VarintSize(labels.size()) + walked.bytes;
+  for (LabelId label : labels) doc_bytes += EntryBytes(label);
+  if (doc_bytes <= cfg.max_shard_bytes) return std::nullopt;
 
   TreePtr manifest = TreeNode::Element(kManifestLabel, gen);
   // `#doc` wraps a childless clone of the root element, preserving its
@@ -145,7 +191,8 @@ ShardedDocument SplitDocument(const TreeNode& root,
   TreePtr doc_holder = TreeNode::Element(kDocLabel, gen);
   doc_holder->AddChild(TreeNode::Element(root.label_text(), gen));
   manifest->AddChild(std::move(doc_holder));
-  splitter.SplitChildren(root, manifest);
+  ShardedDocument out;
+  Splitter{cfg, gen, &out}.SplitChildren(walked, manifest);
   out.manifest_bytes = wire::EncodedTreeSize(*manifest);
   out.manifest = std::move(manifest);
   return out;

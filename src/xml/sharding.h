@@ -5,17 +5,22 @@
 // bigger than a holder's byte budget can never be cached, refreshed or
 // placed, however hot its subtrees are. The splitter partitions it:
 //
-//  - the root's children are grouped, in insertion order, into shards
-//    whose serialized size stays under ShardingConfig::max_shard_bytes;
+//  - one Merkle walk (digest.h) gives every node its digest and its
+//    encoded size; the splitter reads both from it, so a split is one
+//    pass over the document plus the clones it ships;
+//  - the root's children are grouped, in document order, into shards
+//    whose encoded size — header, label table, the `#shard-data`
+//    wrapper and the members — stays within
+//    ShardingConfig::max_shard_bytes, the same bytes a shard is priced
+//    at;
 //  - a child bigger than the cap is split *recursively* under a nested
 //    sub-manifest node, so no data shard exceeds the cap except a single
 //    indivisible node (a text leaf or a childless/one-leaf element),
 //    which travels alone and bumps ShardedDocument::oversized_leaves;
-//  - each shard's id is the Merkle digest (digest.h) of its
-//    `#shard-data` element, built from its members' digests — the ones
-//    the boundary rule below already computed. An unchanged group keeps
-//    its id across versions, so a mutation of one subtree re-ships only
-//    the shard holding it;
+//  - each shard's id is the Merkle digest of its `#shard-data` element,
+//    built from its members' digests. An unchanged group keeps its id
+//    across versions, so a mutation of one subtree re-ships only the
+//    shard holding it;
 //  - a small *manifest* tree records the root element and the ordered
 //    tree of shard ids; it ships, caches and dedups like any content.
 //
@@ -23,17 +28,20 @@
 // result is unordered-equal (tree_equal.h) to the original.
 //
 // Boundaries: under kContentDefined (the default) a group closes after a
-// child whose digest satisfies `lo % boundary_modulus == 0` (clamped to
-// [min, max] group bytes), so an insertion or deletion re-synchronizes
-// at the next surviving boundary child and dirties O(1) neighboring ids.
-// Under kGreedy (kept for benches) a size-shifting mutation can move
-// every later boundary, degrading toward whole-document re-shipment.
+// child whose digest satisfies `lo % 8 == 0`, once the group holds a
+// quarter of the cap (and never past the cap), so an insertion or
+// deletion re-synchronizes at the next surviving boundary child and
+// dirties O(1) neighboring ids — LBFS-style content-defined chunking
+// (Muthitacharoen et al., SOSP 2001) over sibling subtrees. Under
+// kGreedy (kept for benches) a size-shifting mutation can move every
+// later boundary, degrading toward whole-document re-shipment.
 
 #ifndef AXML_XML_SHARDING_H_
 #define AXML_XML_SHARDING_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,22 +63,14 @@ enum class ShardBoundary {
 
 /// Knobs for the splitter.
 struct ShardingConfig {
-  /// Target cap on one shard's serialized bytes. Also the sharding
-  /// threshold: a document at or below this size ships whole. A single
+  /// Cap on one shard's encoded bytes. Also the sharding threshold: a
+  /// document whose encoded size is at most this ships whole. A single
   /// indivisible node bigger than the cap still becomes one (oversized)
   /// shard; splittable oversized children are descended into instead.
   uint64_t max_shard_bytes = 64 * 1024;
   /// Boundary rule for grouping children. kContentDefined keeps shard
   /// ids stable around insertions/deletions.
   ShardBoundary boundary = ShardBoundary::kContentDefined;
-  /// Content-defined boundaries may not fire before a group holds this
-  /// many bytes (keeps pathological all-boundary content from emitting
-  /// one shard per child). 0 means max_shard_bytes / 4.
-  uint64_t min_shard_bytes = 0;
-  /// A child closes its group when `DigestOf(child).lo % boundary_modulus
-  /// == 0`; the expected group length past the min clamp is this many
-  /// children. 0 is treated as 1 (every child a boundary).
-  uint64_t boundary_modulus = 8;
 };
 
 /// One data shard: a group of sibling subtrees, wrapped for shipping.
@@ -81,7 +81,8 @@ struct DocumentShard {
   /// subtrees (clones; the original tree is never aliased).
   TreePtr content;
   /// Encoded wire size of `content` (xml/wire.h) — what shipping this
-  /// shard actually costs; identical to EncodeTree(*content).size().
+  /// shard actually costs, and what the cap bounds; identical to
+  /// EncodeTree(*content).size().
   uint64_t bytes = 0;
 };
 
@@ -102,19 +103,17 @@ struct ShardedDocument {
   uint64_t oversized_leaves = 0;
 };
 
-/// True when `root` is worth splitting under `cfg`: an element whose
-/// serialized size exceeds the shard cap and whose structure is
-/// splittable — at least two children at some depth reachable through
+/// Splits `root` into a manifest and size-capped data shards, or
+/// returns nullopt when it ships whole: when its encoded size is at
+/// most the cap, or when it is not splittable — splittable means an
+/// element with at least two children at some depth reachable through
 /// single-child element chains (the recursive splitter descends such
 /// chains, so a document whose size lives in one huge child still
-/// shards). Everything else ships whole.
-bool ShouldShard(const TreeNode& root, const ShardingConfig& cfg);
-
-/// Splits `root` into a manifest and size-capped data shards. Shard
-/// contents are clones minted from `gen`; `root` is not modified.
-/// Precondition: ShouldShard(root, cfg).
-ShardedDocument SplitDocument(const TreeNode& root,
-                              const ShardingConfig& cfg, NodeIdGen* gen);
+/// shards). Shard contents are clones minted from `gen`; `root` is not
+/// modified.
+std::optional<ShardedDocument> SplitDocument(const TreeNode& root,
+                                             const ShardingConfig& cfg,
+                                             NodeIdGen* gen);
 
 /// True when `node` looks like a manifest produced by SplitDocument.
 bool IsShardManifest(const TreeNode& node);

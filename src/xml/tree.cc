@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "xml/xml_serializer.h"
 
 namespace axml {
 
@@ -124,10 +123,6 @@ TreeNode* TreeNode::FirstChildLabeled(LabelId label) const {
     if (c->is_element() && c->label() == label) return c.get();
   }
   return nullptr;
-}
-
-size_t TreeNode::SerializedSize() const {
-  return SerializeCompact(*this).size();
 }
 
 TreePtr MakeTextElement(std::string_view label, std::string text,

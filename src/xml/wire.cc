@@ -97,6 +97,12 @@ void AppendVarint(uint64_t v, std::string* out) {
   out->push_back(static_cast<char>(v));
 }
 
+uint64_t VarintSize(uint64_t v) {
+  uint64_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 void AppendFixed64(uint64_t v, std::string* out) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -578,9 +584,7 @@ Result<std::string> DecodeText(const Payload& p, WireStats* stats) {
 }
 
 uint64_t EncodedTextSize(std::string_view text) {
-  std::string len;
-  AppendVarint(text.size(), &len);
-  return 2 + len.size() + text.size();
+  return kHeaderBytes + VarintSize(text.size()) + text.size();
 }
 
 }  // namespace wire

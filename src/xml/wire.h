@@ -42,6 +42,8 @@ namespace wire {
 
 /// Bumped on any incompatible layout change; decoders reject mismatches.
 inline constexpr uint8_t kWireVersion = 2;
+/// Every message starts with the version byte and the class byte.
+inline constexpr uint64_t kHeaderBytes = 2;
 
 /// Second header byte: what kind of message the payload carries. Used
 /// for per-class byte accounting (NetStats) and decode dispatch.
@@ -105,6 +107,8 @@ class Payload {
 // --- varint / fixed primitives (exposed for tests and bench_wire) ---
 
 void AppendVarint(uint64_t v, std::string* out);
+/// Bytes AppendVarint writes for `v` (1 below 128).
+uint64_t VarintSize(uint64_t v);
 void AppendFixed64(uint64_t v, std::string* out);
 void AppendLengthPrefixed(std::string_view s, std::string* out);
 

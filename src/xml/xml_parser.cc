@@ -196,10 +196,4 @@ Result<TreePtr> ParseXml(std::string_view text, NodeIdGen* gen) {
   return p.ParseRoot();
 }
 
-Result<Document> ParseDocument(DocName name, std::string_view text,
-                               NodeIdGen* gen) {
-  AXML_ASSIGN_OR_RETURN(TreePtr root, ParseXml(text, gen));
-  return Document{std::move(name), std::move(root)};
-}
-
 }  // namespace axml

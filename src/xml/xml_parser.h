@@ -29,10 +29,6 @@ namespace axml {
 /// `text`. Node ids are minted from `gen`.
 Result<TreePtr> ParseXml(std::string_view text, NodeIdGen* gen);
 
-/// Parses a named document.
-Result<Document> ParseDocument(DocName name, std::string_view text,
-                               NodeIdGen* gen);
-
 }  // namespace axml
 
 #endif  // AXML_XML_XML_PARSER_H_

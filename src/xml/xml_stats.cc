@@ -4,7 +4,6 @@
 
 #include "common/str_util.h"
 #include "xml/wire.h"
-#include "xml/xml_serializer.h"
 
 namespace axml {
 namespace {
@@ -20,7 +19,6 @@ void Walk(const TreeNode& n, uint64_t depth, TreeStats* s) {
   if (n.label() == WellKnownLabels::Get().sc) ++s->service_call_count;
   LabelStats& ls = s->per_label[n.label()];
   ++ls.count;
-  ls.total_bytes += n.SerializedSize();
   double v;
   if (ParseDouble(n.StringValue(), &v)) {
     if (ls.numeric_count == 0) {
@@ -45,12 +43,6 @@ double TreeStats::EstimateSelectivityLess(LabelId label,
   if (bound > ls.max_value) return 1.0;
   if (ls.max_value == ls.min_value) return 1.0;
   return (bound - ls.min_value) / (ls.max_value - ls.min_value);
-}
-
-std::string TreeStats::ToString() const {
-  return StrCat("nodes=", node_count, " elements=", element_count,
-                " text=", text_count, " depth=", depth,
-                " bytes=", serialized_bytes, " sc=", service_call_count);
 }
 
 TreeStats ComputeStats(const TreeNode& tree) {

@@ -1,12 +1,13 @@
 // Document statistics used by the optimizer's cost model (§3.3 relies on
 // "the resulting data set, typically smaller" — the cost model must be
-// able to estimate result sizes to decide when a rewrite pays off).
+// able to estimate result sizes to decide when a rewrite pays off). The
+// one byte count is the document's encoded wire size; per-label stats
+// are counts and value ranges, not sizes.
 
 #ifndef AXML_XML_XML_STATS_H_
 #define AXML_XML_XML_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 
 #include "xml/tree.h"
@@ -16,7 +17,6 @@ namespace axml {
 /// Per-label aggregates collected in one pass over a tree.
 struct LabelStats {
   uint64_t count = 0;          ///< elements with this label
-  uint64_t total_bytes = 0;    ///< serialized bytes of those subtrees
   uint64_t numeric_count = 0;  ///< how many have numeric string values
   double min_value = 0;        ///< min/max over numeric string values
   double max_value = 0;
@@ -37,8 +37,6 @@ struct TreeStats {
   /// assuming a uniform distribution between observed min and max.
   /// Returns 0.5 when nothing is known (textbook default selectivity).
   double EstimateSelectivityLess(LabelId label, double bound) const;
-
-  std::string ToString() const;
 };
 
 /// Collects statistics in one traversal.

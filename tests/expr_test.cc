@@ -179,8 +179,9 @@ TEST(ExprXmlTest, SerializedSizeTracksPayload) {
   TreePtr big = ParseXml(
       "<a><b>payload payload payload payload</b><c>more</c></a>", &gen)
                     .value();
-  EXPECT_LT(Expr::Tree(small, PeerId(0))->SerializedSize(),
-            Expr::Tree(big, PeerId(0))->SerializedSize());
+  // The kQuery text a delegated expression ships as.
+  EXPECT_LT(SerializeCompactExpr(*Expr::Tree(small, PeerId(0)), &gen).size(),
+            SerializeCompactExpr(*Expr::Tree(big, PeerId(0)), &gen).size());
 }
 
 }  // namespace

@@ -391,7 +391,7 @@ TEST(QueryTest, EqualityByCanonicalText) {
   Query a = Query::Parse("for $x in input(0) return $x").value();
   Query b = Query::Parse("for  $x  in input( 0 ) return $x").value();
   EXPECT_EQ(a, b);
-  EXPECT_GT(a.SerializedSize(), 0u);
+  EXPECT_GT(a.text().size(), 0u);
 }
 
 // --- Decomposition (rule (11) / Example 1) ---

@@ -15,6 +15,7 @@
 #include "test_util.h"
 #include "xml/tree_equal.h"
 #include "xml/wire.h"
+#include "xml/xml_serializer.h"
 
 namespace axml {
 namespace {
@@ -308,7 +309,8 @@ TEST(ReplicaManagerTest, LruEvictionRetractsAdvertisements) {
   TreePtr second = MakeCatalog(32, f.sys.peer(f.origin)->gen(), &rng);
   ASSERT_TRUE(f.sys.InstallDocument(f.origin, "d2", second).ok());
   // Budget fits one catalog only; set before the client's cache exists.
-  f.sys.replicas().set_default_byte_budget(second->SerializedSize() + 64);
+  f.sys.replicas().set_default_byte_budget(SerializeCompact(*second).size() +
+                                          64);
 
   Evaluator ev(&f.sys, CachingOptions());
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());

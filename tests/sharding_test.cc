@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -60,15 +61,22 @@ TEST(ShardingTest, ShouldShardGates) {
   ShardingConfig cfg;
   cfg.max_shard_bytes = 512;
   // Too small: ships whole.
-  EXPECT_FALSE(ShouldShard(*MakeCatalog(2, &gen, &rng), cfg));
+  EXPECT_FALSE(SplitDocument(*MakeCatalog(2, &gen, &rng), cfg, &gen));
   // Big enough and >= 2 children: shards.
-  EXPECT_TRUE(ShouldShard(*MakeCatalog(32, &gen, &rng), cfg));
+  EXPECT_TRUE(SplitDocument(*MakeCatalog(32, &gen, &rng), cfg, &gen));
   // A single huge child cannot be split at the top level.
   TreePtr lone = TreeNode::Element("r", &gen);
   lone->AddChild(MakeTextElement("x", std::string(4096, 'a'), &gen));
-  EXPECT_FALSE(ShouldShard(*lone, cfg));
+  EXPECT_FALSE(SplitDocument(*lone, cfg, &gen));
   // Text roots never shard.
-  EXPECT_FALSE(ShouldShard(*TreeNode::Text("just text"), cfg));
+  EXPECT_FALSE(SplitDocument(*TreeNode::Text("just text"), cfg, &gen));
+  // The gate is the whole encoded size, header and label table
+  // included: one byte over the cap shards, at the cap ships whole.
+  TreePtr small = MakeCatalog(8, &gen, &rng);
+  cfg.max_shard_bytes = wire::EncodedTreeSize(*small) - 1;
+  EXPECT_TRUE(SplitDocument(*small, cfg, &gen));
+  cfg.max_shard_bytes += 1;
+  EXPECT_FALSE(SplitDocument(*small, cfg, &gen));
 }
 
 TEST(ShardingTest, SplitRoundTripsCatalog) {
@@ -77,9 +85,10 @@ TEST(ShardingTest, SplitRoundTripsCatalog) {
   TreePtr doc = MakeCatalog(120, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
-  ASSERT_TRUE(ShouldShard(*doc, cfg));
+  std::optional<ShardedDocument> split = SplitDocument(*doc, cfg, &gen);
+  ASSERT_TRUE(split.has_value());
 
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  const ShardedDocument& sd = *split;
   EXPECT_TRUE(IsShardManifest(*sd.manifest));
   EXPECT_GT(sd.shards.size(), 4u);
   EXPECT_EQ(ManifestShardIds(*sd.manifest).size(), sd.shards.size());
@@ -88,7 +97,7 @@ TEST(ShardingTest, SplitRoundTripsCatalog) {
   ASSERT_NE(back, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*doc, *back));
   // The original was never aliased: shard contents are clones.
-  EXPECT_EQ(doc->SerializedSize(), back->SerializedSize());
+  EXPECT_EQ(SerializeCompact(*doc).size(), SerializeCompact(*back).size());
 }
 
 TEST(ShardingTest, SplitRoundTripsSeededRandomTrees) {
@@ -99,13 +108,26 @@ TEST(ShardingTest, SplitRoundTripsSeededRandomTrees) {
     TreePtr doc = MakeRandomTree(nodes, &gen, &rng);
     ShardingConfig cfg;
     cfg.max_shard_bytes = 64 + rng.Uniform(512);
-    if (!ShouldShard(*doc, cfg)) continue;
-    ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
-    TreePtr back = Reassemble(sd, &gen);
+    std::optional<ShardedDocument> sd = SplitDocument(*doc, cfg, &gen);
+    if (!sd.has_value()) continue;
+    TreePtr back = Reassemble(*sd, &gen);
     ASSERT_NE(back, nullptr) << "iteration " << i;
     EXPECT_TRUE(TreesEqualUnordered(*doc, *back))
         << "round trip broke at iteration " << i
         << "; rerun with AXML_TEST_SEED pinned";
+    // The splitter's size bookkeeping matches the encoder: every shard
+    // is priced at its encoded size, and only the oversized leaves —
+    // one indivisible node each — exceed the cap.
+    uint64_t over_cap = 0;
+    for (const DocumentShard& s : sd->shards) {
+      EXPECT_EQ(s.bytes, wire::EncodedTreeSize(*s.content))
+          << "iteration " << i;
+      if (s.bytes > cfg.max_shard_bytes) {
+        ++over_cap;
+        EXPECT_EQ(s.content->child_count(), 1u) << "iteration " << i;
+      }
+    }
+    EXPECT_EQ(over_cap, sd->oversized_leaves) << "iteration " << i;
   }
 }
 
@@ -115,24 +137,23 @@ TEST(ShardingTest, ShardSizesRespectTheCap) {
   TreePtr doc = MakeCatalog(200, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 4096;
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*doc, cfg, &gen).value();
   uint64_t largest_child = 0;
   for (const TreePtr& c : doc->children()) {
-    largest_child = std::max(largest_child, c->SerializedSize());
+    largest_child = std::max(largest_child, wire::EncodedTreeSize(*c));
   }
   for (const DocumentShard& s : sd.shards) {
-    // Grouping clamps are enforced on the XML serialization (so shard
-    // boundaries are stable), and a shard holds whole subtrees: the
-    // wrapper can exceed the cap only when a single child does.
-    EXPECT_LE(s.content->SerializedSize(),
-              std::max(cfg.max_shard_bytes, largest_child) +
-                  uint64_t{32} /* wrapper tags */);
+    // Grouping clamps are enforced on the encoded size the shard is
+    // priced at, and a shard holds whole subtrees: the wrapper can
+    // exceed the cap only when a single child does.
+    EXPECT_LE(s.bytes, std::max(cfg.max_shard_bytes, largest_child) +
+                           uint64_t{32} /* wrapper */);
     // The priced size is the shard's encoded wire form.
     EXPECT_EQ(s.bytes, wire::EncodedTreeSize(*s.content));
     EXPECT_EQ(s.id, DigestOf(*s.content));
   }
   // The manifest is a sliver of the document.
-  EXPECT_LT(sd.manifest_bytes, doc->SerializedSize() / 10);
+  EXPECT_LT(sd.manifest_bytes, SerializeCompact(*doc).size() / 10);
 }
 
 TEST(ShardingTest, ShardIdsAreStableAcrossSplits) {
@@ -141,8 +162,8 @@ TEST(ShardingTest, ShardIdsAreStableAcrossSplits) {
   TreePtr doc = MakeCatalog(100, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
-  ShardedDocument a = SplitDocument(*doc, cfg, &gen);
-  ShardedDocument b = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument a = SplitDocument(*doc, cfg, &gen).value();
+  ShardedDocument b = SplitDocument(*doc, cfg, &gen).value();
   ASSERT_EQ(a.shards.size(), b.shards.size());
   for (size_t i = 0; i < a.shards.size(); ++i) {
     EXPECT_EQ(a.shards[i].id, b.shards[i].id);
@@ -162,7 +183,7 @@ TEST(ShardingTest, SameSizeMutationDirtiesExactlyOneShard) {
   // boundaries depend on the mutated child's digest too; their
   // insertion/deletion stability has its own tests below.)
   cfg.boundary = ShardBoundary::kGreedy;
-  ShardedDocument before = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument before = SplitDocument(*doc, cfg, &gen).value();
 
   // Overwrite one product's description with different bytes of the
   // same length: group boundaries (chosen by size) cannot move.
@@ -176,7 +197,7 @@ TEST(ShardingTest, SameSizeMutationDirtiesExactlyOneShard) {
   const size_t len = desc->child(0)->text().size();
   desc->child(0)->set_text(std::string(len, '!'));
 
-  ShardedDocument after = SplitDocument(*mutated, cfg, &gen);
+  ShardedDocument after = SplitDocument(*mutated, cfg, &gen).value();
   ASSERT_EQ(before.shards.size(), after.shards.size());
   size_t dirty = 0;
   for (size_t i = 0; i < before.shards.size(); ++i) {
@@ -188,7 +209,7 @@ TEST(ShardingTest, SameSizeMutationDirtiesExactlyOneShard) {
 // --- Recursive sharding ---
 
 TEST(ShardingTest, SingleHugeChildShardsRecursively) {
-  // Regression for the ShouldShard gate: a document whose entire size
+  // Regression for the sharding gate: a document whose entire size
   // lives in one huge child used to never shard at all. The recursive
   // splitter descends into it instead.
   NodeIdGen gen;
@@ -197,10 +218,11 @@ TEST(ShardingTest, SingleHugeChildShardsRecursively) {
   root->AddChild(MakeCatalog(120, &gen, &rng));
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
-  ASSERT_GT(root->SerializedSize(), cfg.max_shard_bytes);
-  EXPECT_TRUE(ShouldShard(*root, cfg));
+  ASSERT_GT(wire::EncodedTreeSize(*root), cfg.max_shard_bytes);
+  std::optional<ShardedDocument> split = SplitDocument(*root, cfg, &gen);
+  ASSERT_TRUE(split.has_value());
 
-  ShardedDocument sd = SplitDocument(*root, cfg, &gen);
+  const ShardedDocument& sd = *split;
   // The byte-budget guarantee holds below the root too: many capped
   // shards, not one oversized blob.
   EXPECT_GT(sd.shards.size(), 4u);
@@ -236,9 +258,10 @@ TEST(ShardingTest, NestedManifestsRoundTripAcrossDepths) {
   for (int i = 0; i < 30; ++i) {
     root->AddChild(MakeTextElement("o", rng.Identifier(40), &gen));
   }
-  ASSERT_TRUE(ShouldShard(*root, cfg));
+  std::optional<ShardedDocument> split = SplitDocument(*root, cfg, &gen);
+  ASSERT_TRUE(split.has_value());
 
-  ShardedDocument sd = SplitDocument(*root, cfg, &gen);
+  const ShardedDocument& sd = *split;
   EXPECT_EQ(sd.oversized_leaves, 0u);
   for (const DocumentShard& s : sd.shards) {
     EXPECT_LE(s.bytes, cfg.max_shard_bytes + uint64_t{32});
@@ -250,7 +273,7 @@ TEST(ShardingTest, NestedManifestsRoundTripAcrossDepths) {
 
   // Stability survives nesting: an identical re-split yields the same
   // ids in the same order.
-  ShardedDocument again = SplitDocument(*root, cfg, &gen);
+  ShardedDocument again = SplitDocument(*root, cfg, &gen).value();
   EXPECT_EQ(ManifestShardIds(*sd.manifest),
             ManifestShardIds(*again.manifest));
 }
@@ -263,7 +286,7 @@ TEST(ShardingTest, IndivisibleOversizedNodeTravelsAloneAndIsCounted) {
   root->AddChild(MakeTextElement("blob", std::string(8192, 'x'), &gen));
   ShardingConfig cfg;
   cfg.max_shard_bytes = 1024;
-  ShardedDocument sd = SplitDocument(*root, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*root, cfg, &gen).value();
   EXPECT_EQ(sd.oversized_leaves, 1u);
   size_t oversized = 0;
   for (const DocumentShard& s : sd.shards) {
@@ -305,19 +328,22 @@ TEST(ShardingTest, ContentDefinedInsertionDirtiesNeighborsOnly) {
   shrunk->RemoveChild(100);
 
   ShardingConfig cdc;
-  cdc.max_shard_bytes = 2048;
+  cdc.max_shard_bytes = 1024;
   ASSERT_EQ(cdc.boundary, ShardBoundary::kContentDefined);
   ShardingConfig greedy = cdc;
   greedy.boundary = ShardBoundary::kGreedy;
 
-  const ShardedDocument cdc_before = SplitDocument(*doc, cdc, &gen);
-  const ShardedDocument greedy_before = SplitDocument(*doc, greedy, &gen);
+  const ShardedDocument cdc_before = SplitDocument(*doc, cdc, &gen).value();
+  const ShardedDocument greedy_before =
+      SplitDocument(*doc, greedy, &gen).value();
 
   // Insertion: O(1) dirtied ids content-defined, an avalanche greedy.
   const size_t cdc_ins =
-      DirtiedShardIds(cdc_before, SplitDocument(*grown, cdc, &gen)).size();
+      DirtiedShardIds(cdc_before, SplitDocument(*grown, cdc, &gen).value())
+          .size();
   const size_t greedy_ins =
-      DirtiedShardIds(greedy_before, SplitDocument(*grown, greedy, &gen))
+      DirtiedShardIds(greedy_before,
+                      SplitDocument(*grown, greedy, &gen).value())
           .size();
   EXPECT_LE(cdc_ins, 3u);
   EXPECT_GE(greedy_ins, greedy_before.shards.size() / 3);
@@ -325,16 +351,18 @@ TEST(ShardingTest, ContentDefinedInsertionDirtiesNeighborsOnly) {
 
   // Deletion behaves the same way.
   const size_t cdc_del =
-      DirtiedShardIds(cdc_before, SplitDocument(*shrunk, cdc, &gen)).size();
+      DirtiedShardIds(cdc_before, SplitDocument(*shrunk, cdc, &gen).value())
+          .size();
   const size_t greedy_del =
-      DirtiedShardIds(greedy_before, SplitDocument(*shrunk, greedy, &gen))
+      DirtiedShardIds(greedy_before,
+                      SplitDocument(*shrunk, greedy, &gen).value())
           .size();
   EXPECT_LE(cdc_del, 3u);
   EXPECT_LT(cdc_del, greedy_del);
 
   // Both splits still round-trip the grown document exactly.
   for (const ShardingConfig& cfg : {cdc, greedy}) {
-    ShardedDocument sd = SplitDocument(*grown, cfg, &gen);
+    ShardedDocument sd = SplitDocument(*grown, cfg, &gen).value();
     TreePtr back = Reassemble(sd, &gen);
     ASSERT_NE(back, nullptr);
     EXPECT_TRUE(TreesEqualUnordered(*grown, *back));
@@ -356,16 +384,16 @@ TEST(ShardingTest, ContentDefinedStaysLocalAcrossSeeds) {
   grown->InsertChild(100, extra);
 
   ShardingConfig cdc;
-  cdc.max_shard_bytes = 2048;
+  cdc.max_shard_bytes = 1024;
   ShardingConfig greedy = cdc;
   greedy.boundary = ShardBoundary::kGreedy;
   const size_t cdc_ins =
-      DirtiedShardIds(SplitDocument(*doc, cdc, &gen),
-                      SplitDocument(*grown, cdc, &gen))
+      DirtiedShardIds(SplitDocument(*doc, cdc, &gen).value(),
+                      SplitDocument(*grown, cdc, &gen).value())
           .size();
   const size_t greedy_ins =
-      DirtiedShardIds(SplitDocument(*doc, greedy, &gen),
-                      SplitDocument(*grown, greedy, &gen))
+      DirtiedShardIds(SplitDocument(*doc, greedy, &gen).value(),
+                      SplitDocument(*grown, greedy, &gen).value())
           .size();
   EXPECT_LE(cdc_ins, 6u);
   EXPECT_LE(cdc_ins, greedy_ins);
@@ -377,18 +405,16 @@ TEST(ShardingTest, ContentDefinedGroupsRespectMinAndMaxClamps) {
   TreePtr doc = MakeCatalog(300, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
-  cfg.min_shard_bytes = 512;
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  const uint64_t min_shard_bytes = 512;  // the min clamp: a quarter of the cap
+  ShardedDocument sd = SplitDocument(*doc, cfg, &gen).value();
   ASSERT_GT(sd.shards.size(), 4u);
   for (size_t i = 0; i < sd.shards.size(); ++i) {
-    // The clamps act on the XML serialization (the grouping metric),
-    // not the encoded wire size shards are priced at.
-    const uint64_t group_bytes = sd.shards[i].content->SerializedSize();
+    // The clamps act on the encoded size the shard is priced at.
+    const uint64_t group_bytes = sd.shards[i].bytes;
     EXPECT_LE(group_bytes, cfg.max_shard_bytes + uint64_t{32});
-    // Every group but the trailing remainder reaches the min clamp
-    // (wrapper bytes included, so the raw content bound is loose).
+    // Every group but the trailing remainder reaches the min clamp.
     if (i + 1 < sd.shards.size()) {
-      EXPECT_GE(group_bytes, cfg.min_shard_bytes);
+      EXPECT_GE(group_bytes, min_shard_bytes);
     }
   }
 }
@@ -399,7 +425,7 @@ TEST(ShardingTest, AssemblyFailsClosedOnMissingShard) {
   TreePtr doc = MakeCatalog(64, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 1024;
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*doc, cfg, &gen).value();
   // Lookup that "loses" the last shard.
   const std::string lost = sd.shards.back().id.ToString();
   TreePtr back = AssembleDocument(
@@ -433,7 +459,7 @@ struct ShardedPeers {
     client = sys.AddPeer("client");
     Rng rng(13);
     TreePtr t = MakeCatalog(n_products, sys.peer(origin)->gen(), &rng);
-    doc_bytes = t->SerializedSize();
+    doc_bytes = SerializeCompact(*t).size();
     EXPECT_TRUE(sys.InstallDocument(origin, "d", t).ok());
     ShardingConfig cfg;
     cfg.max_shard_bytes = max_shard_bytes;
@@ -734,10 +760,10 @@ TEST(ShardedReplicaTest, DuplicateShardIdsCrossTheWireOnce) {
     p->AddChild(MakeTextElement("desc", std::string(64, 'x'), gen));
     doc->AddChild(std::move(p));
   }
-  const uint64_t doc_bytes = doc->SerializedSize();
+  const uint64_t doc_bytes = SerializeCompact(*doc).size();
   ASSERT_TRUE(sys.InstallDocument(origin, "d", doc).ok());
   ShardingConfig cfg;
-  cfg.max_shard_bytes = 1024;
+  cfg.max_shard_bytes = 512;
   sys.replicas().set_sharding_config(cfg);
   sys.replicas().set_sharding_enabled(true);
 
@@ -959,7 +985,7 @@ TEST(ShardedReplicaTest, NestedManifestDocumentReplicatesEndToEnd) {
   Rng rng(23);
   TreePtr root = TreeNode::Element("wrapper", gen);
   root->AddChild(MakeCatalog(150, gen, &rng));
-  const uint64_t doc_bytes = root->SerializedSize();
+  const uint64_t doc_bytes = SerializeCompact(*root).size();
   ASSERT_TRUE(sys.InstallDocument(origin, "d", root).ok());
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "test_util.h"
 #include "xml/tree.h"
-#include "xml/xml_serializer.h"
 
 namespace axml {
 namespace {
@@ -124,13 +122,6 @@ TEST(TreeTest, FirstChildLabeled) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->StringValue(), "2");
   EXPECT_EQ(root->FirstChildLabeled(InternLabel("zz")), nullptr);
-}
-
-TEST(TreeTest, SerializedSizeMatchesSerializer) {
-  NodeIdGen gen;
-  Rng rng(5);
-  TreePtr t = testing::MakeRandomTree(50, &gen, &rng);
-  EXPECT_EQ(t->SerializedSize(), SerializeCompact(*t).size());
 }
 
 TEST(LabelInternerTest, InternIsIdempotent) {

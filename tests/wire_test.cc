@@ -8,13 +8,17 @@
 //      canonical form (trees) / field-identical struct (messages).
 //   2. Canonical stability: unordered-equal trees — and only they —
 //      encode byte-identically, the property the content-addressed
-//      blob store and shard ids price against.
+//      blob store and shard ids price against. On the same trees, the
+//      Merkle walk's node sizes plus header and label table add up to
+//      the encoded size, the measure the splitter caps shards by.
 //   3. Robustness: truncations and random byte corruptions of valid
 //      buffers are rejected with a Status — never a crash — pinned by
 //      a fuzz-ish mutation loop.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +35,25 @@ namespace {
 using testing::MakeCatalog;
 using testing::MakeRandomTree;
 using testing::TestSeed;
+
+/// The blob size the Merkle walk's bookkeeping predicts for `t`: header
+/// + label table (count varint, then each distinct label length-prefixed)
+/// + the root's `bytes`. Exact while `t` has fewer than 128 labels.
+uint64_t WalkedBlobSize(const TreeNode& t) {
+  std::set<std::string> labels;
+  std::function<void(const TreeNode&)> collect = [&](const TreeNode& n) {
+    if (!n.is_element()) return;
+    labels.insert(n.label_text());
+    for (const TreePtr& c : n.children()) collect(*c);
+  };
+  collect(t);
+  std::string table;
+  wire::AppendVarint(labels.size(), &table);
+  for (const std::string& label : labels) {
+    wire::AppendLengthPrefixed(label, &table);
+  }
+  return wire::kHeaderBytes + table.size() + MerkleTree(t).bytes;
+}
 
 TEST(WireModelTest, HeaderCarriesVersionAndClass) {
   NodeIdGen gen;
@@ -90,10 +113,14 @@ TEST(WireModelTest, UnorderedEqualTreesEncodeByteIdentically) {
   for (int i = 0; i < 40; ++i) {
     TreePtr t = i % 2 == 0 ? MakeRandomTree(2 + rng.Index(30), &gen, &rng)
                            : MakeCatalog(1 + rng.Index(6), &gen, &rng, 4);
+    EXPECT_EQ(WalkedBlobSize(*t), wire::EncodedTreeSize(*t));
     for (const testing::NearMiss& m : testing::MakeNearMisses(t, &gen, &rng)) {
       const bool equal = CanonicalForm(*m.a) == CanonicalForm(*m.b);
       EXPECT_EQ(wire::EncodeTree(*m.a) == wire::EncodeTree(*m.b), equal)
           << m.edit;
+      // The walk's sizes agree with the encoder on every variant.
+      EXPECT_EQ(WalkedBlobSize(*m.a), wire::EncodedTreeSize(*m.a)) << m.edit;
+      EXPECT_EQ(WalkedBlobSize(*m.b), wire::EncodedTreeSize(*m.b)) << m.edit;
     }
   }
 }

@@ -290,7 +290,7 @@ void BM_Sharding_NotifyFanout(benchmark::State& state) {
     }
     if (!sys->replicas().InsertCopy(
             holders[h], origin, "d",
-            {.manifest = sd->manifest->Clone(sys->peer(holders[h])->gen()),
+            {.tree = sd->manifest->Clone(sys->peer(holders[h])->gen()),
              .shards = std::move(slice)},
             version)) {
       state.SkipWithError("partial seed refused");

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Nine checks over src/ (and tests/, bench/, examples/ where noted),
+Ten checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
 
@@ -70,6 +70,13 @@ comments:
                        StateFingerprint (peer/system.cc) may call it;
                        everything else uses DigestOf or
                        TreesEqualUnordered.
+
+  sharding-include     How a copy is laid out (whole, or a manifest plus
+                       data shards) is the replica layer's secret. Under
+                       src/ only xml/ (which defines the splitter) and
+                       replica/ (which stores copies) may
+                       ``#include "xml/sharding.h"``; everything else
+                       makes layout-blind calls into ReplicaManager.
 
 Suppressions: append ``// lint: allow-<check>`` (e.g. ``// lint:
 allow-determinism``) to the flagged line or the line above. Use rarely;
@@ -517,6 +524,38 @@ def check_canonical_string(sf: SourceFile) -> Iterator[Finding]:
         )
 
 
+# --- sharding-include ---
+
+# The src/ directories that may include the splitter's header.
+SHARDING_INCLUDE_ALLOWED = {"xml", "replica"}
+
+_SHARDING_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"xml/sharding\.h"')
+
+
+def check_sharding_include(sf: SourceFile) -> Iterator[Finding]:
+    """Only xml/ and replica/ see the copy layout (xml/sharding.h)."""
+    rel = sf.path.relative_to(REPO_ROOT / "src").parts
+    if rel[0] in SHARDING_INCLUDE_ALLOWED:
+        return
+    for i, (raw, code) in enumerate(zip(sf.raw, sf.code), 1):
+        # The code view blanks comments, so a commented-out include
+        # does not count; the raw line names the header.
+        if not code.lstrip().startswith("#"):
+            continue
+        if _SHARDING_INCLUDE_RE.match(raw) and not suppressed(
+            sf, i, "sharding-include"
+        ):
+            yield Finding(
+                sf.path,
+                i,
+                "sharding-include",
+                '#include "xml/sharding.h" outside src/xml/ and '
+                "src/replica/ — the copy layout is the replica layer's "
+                "secret; call ReplicaManager (ReadFresh, Fetch, "
+                "InsertCopy, ReadTransferBytes) instead",
+            )
+
+
 def run_checks() -> list[Finding]:
     findings: list[Finding] = []
     for path in cxx_files(["src", "tests", "bench", "examples"]):
@@ -532,6 +571,7 @@ def run_checks() -> list[Finding]:
             findings.extend(check_mutable_static(sf))
             findings.extend(check_canonical_string(sf))
             findings.extend(check_size_estimate(sf))
+            findings.extend(check_sharding_include(sf))
         if top == "src" and "fault_injector" in path.name:
             findings.extend(check_injected_rng(sf))
         findings.extend(check_determinism(sf))

@@ -192,6 +192,23 @@ class CanonicalStringTest(unittest.TestCase):
             self.assertEqual(list(cs.check_canonical_string(sf)), [], home)
 
 
+class ShardingIncludeTest(unittest.TestCase):
+    def test_flags_includes_outside_xml_and_replica(self) -> None:
+        for posed in ("algebra/bad_sharding_include.cc", "opt/cost_model.h"):
+            sf = fixture("bad_sharding_include.cc", pose_as=posed)
+            findings = list(cs.check_sharding_include(sf))
+            self.assertEqual(
+                flagged_lines(findings, "sharding-include"),
+                marked_lines(sf),
+                posed,
+            )
+
+    def test_xml_and_replica_may_include_it(self) -> None:
+        for home in ("xml/sharding.cc", "replica/replica_manager.h"):
+            sf = fixture("bad_sharding_include.cc", pose_as=home)
+            self.assertEqual(list(cs.check_sharding_include(sf)), [], home)
+
+
 class CleanFixtureTest(unittest.TestCase):
     def test_no_check_fires_on_clean_code(self) -> None:
         sf = fixture("clean.cc")

@@ -16,17 +16,15 @@
 
 namespace axml {
 
-/// Shard value naming the manifest of a sharded copy. Data shards use
-/// their ContentDigest hex instead; '#' keeps the two namespaces apart
-/// (digest hex is [0-9a-f] only).
-inline constexpr const char kManifestShardId[] = "#manifest";
-
-/// Identity of one cached copy. The shard dimension distinguishes:
-///  - ""              — a whole-document copy (the pre-sharding layout;
-///                      also the *document-level* key used for versions
-///                      and subscriptions);
-///  - "#manifest"     — the manifest of a sharded copy, versioned like a
-///                      whole-document copy;
+/// Identity of one cached copy. A holder keeps one *entry* per document
+/// plus the data shards that entry references. The shard dimension
+/// distinguishes the two:
+///  - ""              — the document entry, versioned by the origin's
+///                      version at copy time (also the *document-level*
+///                      key used for versions and subscriptions). Its
+///                      tree is the document itself, which references no
+///                      shard, or the document's `#manifest`
+///                      (xml/sharding.h), which references data shards;
 ///  - "<digest hex>"  — one data shard. Shard content is immutable (the
 ///                      id *is* its content digest), so these entries are
 ///                      stored at version 0 and can never go stale — they
@@ -45,13 +43,11 @@ struct ReplicaKey {
   }
 
   bool is_doc() const { return shard.empty(); }
-  bool is_manifest() const { return shard == kManifestShardId; }
-  bool is_shard_data() const { return !shard.empty() && !is_manifest(); }
+  bool is_shard_data() const { return !shard.empty(); }
 
-  /// "d@p1", "d@p1#manifest", "d@p1/3f2a..." for traces.
+  /// "d@p1", "d@p1/3f2a..." for traces.
   std::string ToString() const {
     std::string s = StrCat(name, "@", origin.ToString());
-    if (is_manifest()) return s + shard;
     if (!shard.empty()) s += StrCat("/", shard.substr(0, 8));
     return s;
   }

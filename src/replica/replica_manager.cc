@@ -28,10 +28,6 @@ constexpr uint64_t kImmutableVersion = 0;
 /// unbounded chain would ship forever without ever landing fresh.
 constexpr int kMaxCatchupAttempts = 3;
 
-ReplicaKey ManifestKey(PeerId origin, const DocName& name) {
-  return ReplicaKey{origin, name, kManifestShardId};
-}
-
 ReplicaKey ShardDataKey(PeerId origin, const DocName& name,
                         const ContentDigest& id) {
   return ReplicaKey{origin, name, id.ToString()};
@@ -44,52 +40,49 @@ wire::WireStats* WireStatsOf(AxmlSystem* sys) {
 }
 
 /// A complete fresh copy of one document resident in a holder's cache,
-/// seen without side effects: the fresh whole-document entry, or a
-/// fresh manifest whose every data shard is resident.
+/// seen without side effects: the fresh document entry and every data
+/// shard it references.
 struct ResidentCopy {
-  const TransferCache::Entry* whole = nullptr;
-  const TransferCache::Entry* manifest = nullptr;
-  /// (id, entry) per manifest reference, in manifest order.
+  const TransferCache::Entry* entry = nullptr;
+  /// (id, entry) per reference of `entry`, in manifest order; empty for
+  /// an entry that references no shard.
   std::vector<std::pair<std::string, const TransferCache::Entry*>> shards;
-  /// Content bytes: the whole blob, or the sum over `shards`.
+  /// Content bytes: the entry's when it references no shard, else the
+  /// sum over `shards`.
   uint64_t bytes = 0;
 };
 
 /// Fills `copy` when `cache` holds a complete copy of document `doc`
-/// at version `current`, preferring a whole entry. The one completeness
-/// rule that reads, pricing, installs and reconciliation share.
+/// at version `current`: the entry is at that version and every id it
+/// references is resident. The one completeness rule that reads,
+/// pricing, installs, fan-out and reconciliation share.
 bool FindResidentCopy(const TransferCache& cache, const ReplicaKey& doc,
                       uint64_t current, ResidentCopy* copy) {
-  const TransferCache::Entry* whole = cache.Peek(doc);
-  if (whole != nullptr && whole->origin_version == current) {
-    *copy = ResidentCopy{};
-    copy->whole = whole;
-    copy->bytes = whole->bytes;
-    return true;
-  }
-  const TransferCache::Entry* m =
-      cache.Peek(ManifestKey(doc.origin, doc.name));
-  if (m == nullptr || m->origin_version != current) return false;
+  const TransferCache::Entry* e = cache.Peek(doc);
+  if (e == nullptr || e->origin_version != current) return false;
   ResidentCopy found;
-  found.manifest = m;
-  for (std::string& id : ManifestShardIds(*m->tree)) {
-    const TransferCache::Entry* e =
+  found.entry = e;
+  for (std::string& id : ManifestShardIds(*e->tree)) {
+    const TransferCache::Entry* s =
         cache.Peek(ReplicaKey{doc.origin, doc.name, id});
-    if (e == nullptr) return false;
-    found.bytes += e->bytes;
-    found.shards.emplace_back(std::move(id), e);
+    if (s == nullptr) return false;
+    found.bytes += s->bytes;
+    found.shards.emplace_back(std::move(id), s);
   }
+  if (found.shards.empty()) found.bytes = e->bytes;
   *copy = std::move(found);
   return true;
 }
 
-/// Assembles the document `manifest` describes from `parts` (id ->
-/// shard blob) into fresh nodes minted by `gen`.
-TreePtr Assemble(const TreeNode& manifest,
-                 const std::map<std::string, TreePtr>& parts,
-                 NodeIdGen* gen) {
+/// A private instance of the document `entry` stands for, minted by
+/// `gen` and never a cache blob: the entry cloned when it references no
+/// shard, else the document assembled from `parts` (id -> shard blob).
+TreePtr Materialize(const TreeNode& entry,
+                    const std::map<std::string, TreePtr>& parts,
+                    NodeIdGen* gen) {
+  if (!IsShardManifest(entry)) return entry.Clone(gen);
   return AssembleDocument(
-      manifest,
+      entry,
       [&parts](const std::string& id) -> TreePtr {
         auto it = parts.find(id);
         return it == parts.end() ? nullptr : it->second;
@@ -97,13 +90,10 @@ TreePtr Assemble(const TreeNode& manifest,
       gen);
 }
 
-/// A private instance of a resident copy: the whole blob cloned, or the
-/// shards assembled — either way minted by `gen`, never a cache blob.
 TreePtr Materialize(const ResidentCopy& copy, NodeIdGen* gen) {
-  if (copy.whole != nullptr) return copy.whole->tree->Clone(gen);
   std::map<std::string, TreePtr> parts;
   for (const auto& [id, e] : copy.shards) parts.emplace(id, e->tree);
-  return Assemble(*copy.manifest->tree, parts, gen);
+  return Materialize(*copy.entry->tree, parts, gen);
 }
 
 }  // namespace
@@ -190,21 +180,16 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
   if (TransferCache* cache = cache_it == caches_.end()
                                  ? nullptr
                                  : cache_it->second.get()) {
-    ContentDigest digest;
-    bool have_digest = false;
-    if (const TransferCache::Entry* e =
-            cache->Peek(ReplicaKey{origin, name})) {
-      digest = e->digest;
-      have_digest = true;
-    }
-    cache->Erase(ReplicaKey{origin, name}, /*invalidation=*/true);
-    // The sharded layout of the promoted copy goes too: manifest and
-    // data shards of (origin, name) no longer describe anything.
+    const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name});
+    const std::optional<ContentDigest> digest =
+        e == nullptr ? std::nullopt : std::optional(e->digest);
+    // The entry and the data shards it referenced no longer describe
+    // anything.
     for (const ReplicaKey& k : cache->KeysForDoc(origin, name)) {
       cache->Erase(k, /*invalidation=*/true);
     }
-    if (have_digest) {
-      for (const ReplicaKey& alias : cache->KeysWithDigest(digest)) {
+    if (digest.has_value()) {
+      for (const ReplicaKey& alias : cache->KeysWithDigest(*digest)) {
         cache->Erase(alias, /*invalidation=*/true);
       }
     }
@@ -245,9 +230,9 @@ TransferCache* ReplicaManager::CacheFor(PeerId peer) {
                      key.ToString());
         }
         // Subscriptions mirror residency exactly: each departing entry
-        // — whole document, manifest, or data shard — ends its own
-        // subscription, so mutation fan-out targets precisely what the
-        // holder still has. The installed document is retracted on
+        // — document entry or data shard — ends its own subscription,
+        // so mutation fan-out targets precisely what the holder still
+        // has. The installed document is retracted on
         // losing *any* piece (installed ⇔ fully resident in cache).
         subscriptions_.Unsubscribe(key, peer);
         RetractAdvertisements(peer, key);
@@ -282,7 +267,7 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
       sys_->peer(reader) == nullptr) {
     return false;
   }
-  if (landed.whole == nullptr && landed.manifest == nullptr) return false;
+  if (landed.tree == nullptr) return false;
   if (snapshot_version != Version(origin, name)) {
     return false;  // the origin moved on while the copy was on the wire
   }
@@ -291,43 +276,34 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
   // The origin now owes this reader a push on every mutation of each
   // cached key (cache-only copies included: they serve reads too and
   // must not go stale silently). Put retracts an older copy of the same
-  // key first (evict listener), so the install below sees a clean slot.
-  if (landed.whole != nullptr) {
-    const ReplicaKey key{origin, name};
-    if (!cache->Put(key, landed.whole, DigestOf(*landed.whole),
-                    snapshot_version, landed.whole_encoded) ||
-        cache->Peek(key) == nullptr) {
-      return false;  // over budget: not worth caching
-    }
-    subscriptions_.Subscribe(key, reader);
-  } else {
-    const ReplicaKey mkey = ManifestKey(origin, name);
-    // Re-Putting an identical fresh manifest would churn the evict
-    // listener (retract + re-advertise) for nothing — skip it.
-    const TransferCache::Entry* resident = cache->Peek(mkey);
-    const ContentDigest mdigest = DigestOf(*landed.manifest);
-    if ((resident == nullptr || resident->origin_version != snapshot_version ||
-         !(resident->digest == mdigest)) &&
-        !cache->Put(mkey, landed.manifest, mdigest, snapshot_version)) {
-      return false;  // manifest alone over budget: nothing to anchor on
-    }
-    // Each data shard that survives its Put subscribes under its exact
-    // key (a later Put may evict it again — the evict listener
-    // unsubscribes then), so mutation fan-out can skip this holder while
-    // its pieces stay referenced. Budget refusals are fine — the copy
-    // stays partial and later reads fetch the gap again.
-    for (const DocumentShard& s : landed.shards) {
-      const ReplicaKey skey = ShardDataKey(origin, name, s.id);
-      if (cache->Put(skey, s.content, s.id, kImmutableVersion) &&
-          cache->Peek(skey) != nullptr) {
-        subscriptions_.Subscribe(skey, reader);
-      }
-    }
-    // The shard Puts may have evicted the manifest right back out; the
-    // surviving shards stay resident (and subscribed) for future deltas.
-    if (cache->Peek(mkey) == nullptr) return false;
-    subscriptions_.Subscribe(mkey, reader);
+  // key first (evict listener), so the install below sees a clean slot;
+  // re-Putting an identical fresh entry would churn the listener
+  // (retract + re-advertise) for nothing, so it is skipped.
+  const ReplicaKey key{origin, name};
+  const TransferCache::Entry* resident = cache->Peek(key);
+  const ContentDigest digest = DigestOf(*landed.tree);
+  if ((resident == nullptr || resident->origin_version != snapshot_version ||
+       !(resident->digest == digest)) &&
+      !cache->Put(key, landed.tree, digest, snapshot_version,
+                  landed.encoded)) {
+    return false;  // the entry alone is over budget: nothing to anchor on
   }
+  // Each data shard that survives its Put subscribes under its exact
+  // key (a later Put may evict it again — the evict listener
+  // unsubscribes then), so mutation fan-out can skip this holder while
+  // its pieces stay referenced. Budget refusals are fine — the copy
+  // stays partial and later reads fetch the gap again.
+  for (const DocumentShard& s : landed.shards) {
+    const ReplicaKey skey = ShardDataKey(origin, name, s.id);
+    if (cache->Put(skey, s.content, s.id, kImmutableVersion) &&
+        cache->Peek(skey) != nullptr) {
+      subscriptions_.Subscribe(skey, reader);
+    }
+  }
+  // The shard Puts may have evicted the entry right back out; the
+  // surviving shards stay resident (and subscribed) for future deltas.
+  if (cache->Peek(key) == nullptr) return false;
+  subscriptions_.Subscribe(key, reader);
   // Only a complete copy is installed; a partial one serves delta reads
   // but must never be read by name.
   InstallAndAdvertise(reader, origin, name);
@@ -377,11 +353,6 @@ TreePtr ReplicaManager::ReadFresh(PeerId reader, PeerId origin,
       sys_->peer(reader) == nullptr) {
     return nullptr;
   }
-  // The layout a fetch would ship now. A fresh whole copy still serves
-  // a document that has since crossed the shard cap (e.g. cached before
-  // sharding was enabled): the cost model prices it at zero, so the read
-  // must not re-fetch it as shards.
-  const bool sharded = OriginShards(origin, name) != nullptr;
   // A miss from a peer that never cached anything must not allocate a
   // TransferCache (plus evict listener) for it — readers that never
   // insert would each leak an empty cache. The miss is tallied
@@ -395,28 +366,24 @@ TreePtr ReplicaManager::ReadFresh(PeerId reader, PeerId origin,
   NodeIdGen* gen = sys_->peer(reader)->gen();
   const uint64_t current = Version(origin, name);
   const ReplicaKey key{origin, name};
-  const TransferCache::Entry* whole = sharded ? cache->Peek(key) : nullptr;
-  if (!sharded || (whole != nullptr && whole->origin_version == current)) {
-    // A stale entry is dropped by this Get (with its advertisements, via
-    // the evict listener) and the read falls through to the wire.
-    TreePtr blob = cache->Get(key, current);
-    if (blob == nullptr) return nullptr;
+  // A stale entry is dropped by this Get (with its advertisements, via
+  // the evict listener) and the read falls through to the wire.
+  if (cache->Get(key, current) == nullptr) return nullptr;
+  // Completeness is probed without side effects first: an incomplete
+  // copy must not charge recency/hit credit for shards this read cannot
+  // use yet (the delta fetch that follows will claim them).
+  ResidentCopy copy;
+  if (!FindResidentCopy(*cache, key, current, &copy)) return nullptr;
+  if (copy.shards.empty()) {
     if (layout != nullptr) *layout = CopyLayout::kWhole;
     // The private instance is a decode of the resident wire bytes — the
     // same operation the transfer this hit replaces would have run.
     Result<TreePtr> decoded =
         wire::DecodeTree(*cache->PeekEncoded(key), gen, WireStatsOf(sys_));
     AXML_DCHECK(decoded.ok());
-    return decoded.ok() ? std::move(decoded).value() : blob->Clone(gen);
+    return decoded.ok() ? std::move(decoded).value()
+                        : copy.entry->tree->Clone(gen);
   }
-  if (cache->Get(ManifestKey(origin, name), current) == nullptr) {
-    return nullptr;
-  }
-  // Completeness is probed without side effects first: an incomplete
-  // copy must not charge recency/hit credit for shards this read cannot
-  // use yet (the delta fetch that follows will claim them).
-  ResidentCopy copy;
-  if (!FindResidentCopy(*cache, key, current, &copy)) return nullptr;
   for (const auto& [id, e] : copy.shards) {
     cache->Get(ReplicaKey{origin, name, id}, kImmutableVersion);
   }
@@ -476,14 +443,10 @@ bool ReplicaManager::DropCopy(PeerId reader, PeerId origin,
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = caches_.find(reader);
   if (it == caches_.end()) return false;
-  // Whole-document entry and manifest both carry the copy's identity;
-  // data shards are immutable content and stay (reused by the next
-  // delta, garbage-collected by eviction or orphan cleanup).
-  const bool whole = it->second->Erase(ReplicaKey{origin, name},
-                                       /*invalidation=*/true);
-  const bool manifest = it->second->Erase(ManifestKey(origin, name),
-                                          /*invalidation=*/true);
-  return whole || manifest;
+  // The entry carries the copy's identity; data shards are immutable
+  // content and stay (reused by the next delta, garbage-collected by
+  // eviction or orphan cleanup).
+  return it->second->Erase(ReplicaKey{origin, name}, /*invalidation=*/true);
 }
 
 void ReplicaManager::DropAllCopies() {
@@ -619,32 +582,37 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
   // Classify subscribed holders. A holder is dirty — and must be
   // pushed — when its copy's *content by name* changed or it holds
   // pieces the new version abandoned:
-  //  - a whole-document entry or a pending refresh (doc-level key);
-  //  - an installed sharded copy (manifest key + installed slot): it is
-  //    advertised and readable by name, so any mutation dirties it;
+  //  - a document-key subscriber holding no entry (a refresh is
+  //    pending) or a complete copy — which may be installed, advertised
+  //    and readable by name;
   //  - a data shard outside the new live set.
   // Everything else — partial holders whose every resident shard is
-  // still referenced — is clean: their manifest's version check catches
-  // the staleness on the next lookup, and nothing they advertise (they
-  // advertise nothing) can serve a stale read meanwhile.
+  // still referenced — is clean: the entry's version check catches the
+  // staleness on the next lookup, and nothing they advertise (an
+  // incomplete copy is never installed) can serve a stale read
+  // meanwhile.
   std::vector<PeerId> dirty;  // notification order: first subscription wins
   std::set<PeerId> dirty_set;
-  std::set<PeerId> doc_wide;  // dirty through a doc-level/installed copy
+  std::set<PeerId> doc_wide;  // dirty through the document key
   std::set<PeerId> subscribed;
   for (const ReplicaKey& sk : sub_keys) {
     for (PeerId holder : subscriptions_.HoldersOf(sk)) {
       subscribed.insert(holder);
       bool holder_dirty = false;
       if (sk.is_doc()) {
-        holder_dirty = true;
-      } else if (sk.is_manifest()) {
-        holder_dirty = InstalledOrigin(holder, key.name) == key.origin;
+        const TransferCache* cache = FindCache(holder);
+        const TransferCache::Entry* e =
+            cache == nullptr ? nullptr : cache->Peek(sk);
+        ResidentCopy copy;
+        holder_dirty =
+            e == nullptr ||
+            FindResidentCopy(*cache, sk, e->origin_version, &copy);
       } else {
         holder_dirty = live.count(sk.shard) == 0;
       }
       if (!holder_dirty) continue;
       if (dirty_set.insert(holder).second) dirty.push_back(holder);
-      if (!sk.is_shard_data()) doc_wide.insert(holder);
+      if (sk.is_doc()) doc_wide.insert(holder);
     }
   }
   subscription_stats_.clean_skips += subscribed.size() - dirty_set.size();
@@ -789,15 +757,15 @@ double ReplicaManager::ReadTransferBytes(PeerId reader, PeerId origin,
   if (ExpectedFresh(reader, origin, name)) return 0;
   const ShardedDocument* sd = OriginShards(origin, name);
   if (sd == nullptr || reader == origin) return whole_bytes;
-  // Partial sharded copies pay only for what is missing: the stale
-  // manifest plus the non-resident data shards. A peer holding most of
-  // a document's shards reads it almost for free, so the optimizer
-  // prefers routing the read there over a cold peer.
+  // Partial copies pay only for what is missing: the stale entry plus
+  // the non-resident data shards. A peer holding most of a document's
+  // shards reads it almost for free, so the optimizer prefers routing
+  // the read there over a cold peer.
   const TransferCache* cache = FindCache(reader);
   uint64_t delta = 0;
-  const TransferCache::Entry* m =
-      cache == nullptr ? nullptr : cache->Peek(ManifestKey(origin, name));
-  if (m == nullptr || m->origin_version != Version(origin, name)) {
+  const TransferCache::Entry* e =
+      cache == nullptr ? nullptr : cache->Peek(ReplicaKey{origin, name});
+  if (e == nullptr || e->origin_version != Version(origin, name)) {
     delta += sd->manifest_bytes;
   }
   std::set<std::string> seen;
@@ -817,7 +785,6 @@ TreePtr ReplicaManager::EncodeShardDelta(const ShardedDocument& sd,
                                          std::map<std::string, TreePtr>* parts,
                                          wire::Shipment* ship,
                                          ShardStats* tally) {
-  ship->sharded = true;
   // No clone crosses the process: the shards are *encoded* into the
   // delta, and the receiving peer decodes what the wire delivered.
   std::set<std::string> seen;
@@ -849,11 +816,10 @@ TreePtr ReplicaManager::EncodeShardDelta(const ShardedDocument& sd,
     tally->shard_bytes_shipped += shipped.tree.size();
     ship->shards.push_back(std::move(shipped));
   }
-  const TransferCache::Entry* m =
-      cache == nullptr ? nullptr
-                       : cache->Peek(ManifestKey(doc.origin, doc.name));
-  if (m != nullptr && m->origin_version == ship->snapshot_version) {
-    return m->tree;
+  const TransferCache::Entry* e =
+      cache == nullptr ? nullptr : cache->Peek(doc);
+  if (e != nullptr && e->origin_version == ship->snapshot_version) {
+    return e->tree;
   }
   ship->manifest = wire::EncodeTree(*sd.manifest, WireStatsOf(sys_));
   ++tally->manifests_shipped;
@@ -861,7 +827,7 @@ TreePtr ReplicaManager::EncodeShardDelta(const ShardedDocument& sd,
 }
 
 bool ReplicaManager::DecodeLanded(const wire::Payload& p, PeerId holder,
-                                  const TreePtr& resident_manifest,
+                                  const TreePtr& resident_entry,
                                   LandedCopy* landed,
                                   uint64_t* snapshot_version) {
   Peer* dest = sys_->peer(holder);
@@ -876,22 +842,18 @@ bool ReplicaManager::DecodeLanded(const wire::Payload& p, PeerId holder,
     return true;
   };
   if (p.message_class() == wire::MessageClass::kTree) {
-    landed->whole_encoded = p.bytes();
-    return decode(landed->whole_encoded, &landed->whole);
+    landed->encoded = p.bytes();
+    return decode(landed->encoded, &landed->tree);
   }
   Result<wire::Shipment> got = wire::DecodeShipment(p, WireStatsOf(sys_));
   AXML_DCHECK(got.ok());
   if (!got.ok()) return false;
   wire::Shipment arrived = std::move(got).value();
   *snapshot_version = arrived.snapshot_version;
-  if (!arrived.sharded) {
-    landed->whole_encoded = std::move(arrived.whole);
-    return decode(landed->whole_encoded, &landed->whole);
-  }
-  landed->manifest = resident_manifest;
-  if (!arrived.manifest.empty() &&
-      !decode(arrived.manifest, &landed->manifest)) {
-    return false;
+  landed->tree = resident_entry;
+  if (!arrived.manifest.empty()) {
+    landed->encoded = std::move(arrived.manifest);
+    if (!decode(landed->encoded, &landed->tree)) return false;
   }
   for (const wire::Shipment::Shard& s : arrived.shards) {
     DocumentShard shard;
@@ -902,7 +864,7 @@ bool ReplicaManager::DecodeLanded(const wire::Payload& p, PeerId holder,
     shard.bytes = s.tree.size();
     landed->shards.push_back(std::move(shard));
   }
-  return landed->manifest != nullptr;
+  return landed->tree != nullptr;
 }
 
 bool ReplicaManager::Fetch(PeerId reader, PeerId origin, const DocName& name,
@@ -917,41 +879,41 @@ bool ReplicaManager::Fetch(PeerId reader, PeerId origin, const DocName& name,
   if (root == nullptr || root->ContainsServiceCall()) return false;
   const ReplicaKey doc{origin, name};
 
-  // One landing for both layouts: cache what arrived (a stale snapshot
-  // is refused there, but the read still gets it — a read observes the
-  // version it was issued against), then hand the reader a private
-  // instance. Reliable: the read path runs the loop to quiescence, and
-  // a silently lost transfer would hang the read.
+  // One landing: cache what arrived (a stale snapshot is refused
+  // there, but the read still gets it — a read observes the version it
+  // was issued against), then hand the reader a private instance.
+  // Reliable: the read path runs the loop to quiescence, and a silently
+  // lost transfer would hang the read.
   auto send = [this, reader, doc](
                   wire::Payload payload, uint64_t snap_version,
-                  TreePtr resident_manifest,
+                  TreePtr resident_entry,
                   std::map<std::string, TreePtr> parts,
                   std::function<void(TreePtr)> done) {
     sys_->network().SendReliable(
         doc.origin, reader, std::move(payload),
         [this, reader, doc, snap_version,
-         resident_manifest = std::move(resident_manifest),
+         resident_entry = std::move(resident_entry),
          parts = std::move(parts),
          done = std::move(done)](const wire::Payload& p) mutable {
           LandedCopy landed;
           uint64_t snapshot = snap_version;
-          if (!DecodeLanded(p, reader, resident_manifest, &landed,
+          if (!DecodeLanded(p, reader, resident_entry, &landed,
                             &snapshot)) {
             done(nullptr);
             return;
           }
           const bool cached =
               InsertCopy(reader, doc.origin, doc.name, landed, snapshot);
-          NodeIdGen* gen = sys_->peer(reader)->gen();
-          if (landed.whole != nullptr) {
-            // A cached tree is the cache blob now: never hand it out.
-            done(cached ? landed.whole->Clone(gen) : landed.whole);
+          if (!cached && !IsShardManifest(*landed.tree)) {
+            // Nothing else holds the decoded tree: hand it out as is.
+            done(std::move(landed.tree));
             return;
           }
-          for (const DocumentShard& s : landed.shards) {
-            parts[s.id.ToString()] = s.content;
+          // A cached tree is the cache blob now: never hand it out.
+          for (DocumentShard& s : landed.shards) {
+            parts[s.id.ToString()] = std::move(s.content);
           }
-          done(Assemble(*landed.manifest, parts, gen));
+          done(Materialize(*landed.tree, parts, sys_->peer(reader)->gen()));
         });
   };
 
@@ -964,8 +926,9 @@ bool ReplicaManager::Fetch(PeerId reader, PeerId origin, const DocName& name,
     *layout = sd != nullptr ? CopyLayout::kSharded : CopyLayout::kWhole;
   }
   if (sd == nullptr) {
-    // A whole document is encoded, version-stamped and sent on the
-    // loop's next turn at this instant, like every plain transfer.
+    // A document the origin does not split is encoded, version-stamped
+    // and sent as a bare kTree on the loop's next turn at this instant,
+    // like every plain transfer.
     sys_->loop().Post(tr->Bind([this, doc, root, send,
                                 deliver = std::move(deliver)]() mutable {
       send(wire::Payload(wire::EncodeTree(*root, WireStatsOf(sys_))),
@@ -981,7 +944,7 @@ bool ReplicaManager::Fetch(PeerId reader, PeerId origin, const DocName& name,
   ship.snapshot_version = Version(origin, name);
   std::map<std::string, TreePtr> parts;
   const uint64_t reused_before = shard_stats_.shards_reused;
-  TreePtr resident_manifest = EncodeShardDelta(
+  TreePtr resident_entry = EncodeShardDelta(
       *sd, doc, CacheFor(reader), &parts, &ship, &shard_stats_);
   ++shard_stats_.sharded_reads;
   if (shard_stats_.shards_reused > reused_before) ++shard_stats_.partial_hits;
@@ -991,7 +954,7 @@ bool ReplicaManager::Fetch(PeerId reader, PeerId origin, const DocName& name,
                doc.ToString());
   }
   send(std::move(payload), ship.snapshot_version,
-       std::move(resident_manifest), std::move(parts), std::move(deliver));
+       std::move(resident_entry), std::move(parts), std::move(deliver));
   return true;
 }
 
@@ -1071,16 +1034,19 @@ bool ReplicaManager::LaunchShipment(
   ship.name = key.name;
   ship.snapshot_version = snap_version;
   ShardStats tally;
-  TreePtr resident_manifest;
-  if (const ShardedDocument* sd = OriginShards(key.origin, key.name)) {
+  TreePtr resident_entry;
+  const ShardedDocument* sd = OriginShards(key.origin, key.name);
+  if (sd != nullptr) {
     // A sharded delta against whatever the holder has resident — a
     // placement round may be completing a partial copy.
     auto cit = caches_.find(holder);
-    resident_manifest = EncodeShardDelta(
+    resident_entry = EncodeShardDelta(
         *sd, key, cit == caches_.end() ? nullptr : cit->second.get(),
         /*parts=*/nullptr, &ship, &tally);
   } else {
-    ship.whole = wire::EncodeTree(*root, WireStatsOf(sys_));
+    // A document the origin does not split is its own entry, with zero
+    // shards.
+    ship.manifest = wire::EncodeTree(*root, WireStatsOf(sys_));
   }
   wire::Payload payload = wire::EncodeShipment(ship, WireStatsOf(sys_));
   const uint64_t bytes = payload.size();
@@ -1088,7 +1054,7 @@ bool ReplicaManager::LaunchShipment(
   if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
     tr->Record("replica", "shipment", holder, bytes, 0, key.ToString());
   }
-  if (ship.sharded) {
+  if (sd != nullptr) {
     ++shard_stats_.sharded_shipments;
     shard_stats_.manifests_shipped += tally.manifests_shipped;
     shard_stats_.shards_shipped += tally.shards_shipped;
@@ -1103,7 +1069,7 @@ bool ReplicaManager::LaunchShipment(
   auto on_land_retry = ship_max_attempts_ > 0 ? on_land : nullptr;
   sys_->network().Send(
       key.origin, holder, std::move(payload),
-      [this, holder, key, resident_manifest, generation,
+      [this, holder, key, resident_entry, generation,
        on_land = std::move(on_land)](const wire::Payload& p) {
         auto it = refresh_inflight_.find({holder, key});
         if (it == refresh_inflight_.end() || it->second != generation) {
@@ -1115,7 +1081,7 @@ bool ReplicaManager::LaunchShipment(
         refresh_inflight_.erase(it);
         LandedCopy landed;
         uint64_t landed_version = 0;
-        if (!DecodeLanded(p, holder, resident_manifest, &landed,
+        if (!DecodeLanded(p, holder, resident_entry, &landed,
                           &landed_version)) {
           return;
         }
@@ -1248,15 +1214,11 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
       [this, holder, key, attempt](const LandedCopy& landed,
                                    uint64_t snap_version, uint64_t bytes) {
         if (InsertCopy(holder, key.origin, key.name, landed, snap_version)) {
+          // The insert subscribed the holder under every key it cached,
+          // the document entry's included: that subscription now backs
+          // the flight interest.
           ++subscription_stats_.refreshes;
           subscription_stats_.refresh_bytes += bytes;
-          // The insert subscribed the holder under every key it cached;
-          // the doc-level flight interest has served its purpose unless
-          // a whole-document entry backs it.
-          const TransferCache* c = FindCache(holder);
-          if (c == nullptr || c->Peek(key) == nullptr) {
-            subscriptions_.Unsubscribe(key, holder);
-          }
         } else if (Version(key.origin, key.name) != snap_version) {
           // The origin moved on while this was on the wire: a catch-up
           // shipment brings the holder current — but the chain is
@@ -1420,10 +1382,9 @@ size_t ReplicaManager::ResubscribeResident(PeerId holder, PeerId origin) {
   for (const ReplicaKey& k : cache->Keys()) {
     if (k.origin != origin) continue;
     if (!k.is_shard_data()) {
-      // Whole-document and manifest entries re-subscribe only while
-      // fresh — a stale entry is about to be reconciled away, and
-      // subscribing it would re-invite pushes for content the holder
-      // no longer serves.
+      // Document entries re-subscribe only while fresh — a stale entry
+      // is about to be reconciled away, and subscribing it would
+      // re-invite pushes for content the holder no longer serves.
       const TransferCache::Entry* e = cache->Peek(k);
       if (e == nullptr || e->origin_version != Version(origin, k.name)) {
         continue;
@@ -1506,10 +1467,10 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
 
   // Repair origin-side subscription state and charge the digest
   // exchange: one control roundtrip per (holder, origin) pair, carrying
-  // a real encoded DigestExchange — per surviving document the
-  // manifest/whole version + digest and each resident shard digest,
-  // priced at the actual encoded bytes (the response leg is modeled at
-  // the same size: the origin answers digest-for-digest).
+  // a real encoded DigestExchange — per surviving document the entry
+  // version + digest and each resident shard digest, priced at the
+  // actual encoded bytes (the response leg is modeled at the same size:
+  // the origin answers digest-for-digest).
   for (PeerId origin : origins) {
     subscription_stats_.sweep_resubscribes +=
         ResubscribeResident(holder, origin);

@@ -15,15 +15,14 @@
 //    joins every generic class the origin belongs to — so d@any
 //    resolution routes to the nearest fresh copy;
 //  - every successful cache insert *subscribes* the holder at the origin
-//    under the inserted entry's exact key — whole-document, manifest or
-//    data shard (SubscriptionTable); a mutation at the origin pushes to
-//    every *dirty* holder immediately, where a partial sharded holder is
-//    dirty only if it holds a data shard the new version no longer
-//    references (clean partial holders are skipped: shard-granular
-//    fan-out) — under RefreshPolicy::kDrop the
-//    holder's copy and all its advertisements are retracted at mutation
-//    time (never a stale advertisement between a write and the next
-//    read); under kEagerRefresh the origin additionally ships the new
+//    under the inserted entry's exact key — document entry or data shard
+//    (SubscriptionTable); a mutation at the origin pushes to every
+//    *dirty* holder immediately, where a partial copy is dirty only if
+//    it holds a data shard the new version no longer references (clean
+//    partial holders are skipped: shard-granular fan-out) — under
+//    RefreshPolicy::kDrop the holder's copy and all its advertisements
+//    are retracted at mutation time (never a stale advertisement between
+//    a write and the next read); under kEagerRefresh the origin additionally ships the new
 //    version through the transfer path, re-materializing the copy
 //    without a read asking for it (per-holder byte budget, in-flight
 //    coalescing of back-to-back mutations);
@@ -31,16 +30,19 @@
 //    instead dropped on its next lookup: evicted from the cache, removed
 //    as a local document, Catalog::Unregister'ed, and withdrawn from its
 //    generic classes;
-//  - documents above the sharding threshold (xml/sharding.h, enabled via
-//    set_sharding_enabled) replicate as *shards*: a versioned manifest
-//    plus immutable content-addressed data shards, each its own cache
-//    entry. Reads, eager refresh and placement then ship only the shards
-//    the holder lacks (a "delta"), a mutation of one subtree re-ships
-//    one dirty shard instead of the whole document, and a byte budget
-//    smaller than the document can still hold a useful partial copy;
-//  - the layout is this layer's secret: one read (ReadFresh), one fetch
-//    (Fetch), one insert (InsertCopy) and one price (ReadTransferBytes)
-//    serve both, so the evaluator and the cost model never name a shard.
+//  - a holder keeps *one entry per document* (ReplicaKey{origin, name})
+//    plus the immutable content-addressed data shards that entry
+//    references. The entry is the document itself, which references no
+//    shard, or — for a document the origin splits (xml/sharding.h,
+//    OriginShards, enabled via set_sharding_enabled) — its versioned
+//    manifest. Reads, eager refresh and placement ship the entry unless
+//    the holder's is fresh, plus only the shards the holder lacks (a
+//    "delta"): a mutation of one subtree re-ships one dirty shard
+//    instead of the whole document, and a byte budget smaller than the
+//    document can still hold a useful partial copy. Completeness,
+//    materialization, insert, drop, dirtiness and repair read the
+//    entry's references (ManifestShardIds); none asks how the copy is
+//    laid out, so the evaluator and the cost model never name a shard.
 //
 // Cached copies are soft state: AxmlSystem::StateFingerprint skips them,
 // so Σ-equivalence (the rule-equivalence property) is judged on durable
@@ -125,9 +127,10 @@ struct ShardStats {
   void ExportMetrics(MetricSink& sink) const;
 };
 
-/// How a copy is stored at its holder: one whole-document entry, or a
-/// manifest plus data shards (xml/sharding.h). Only the replica layer
-/// decides it; callers see it just to file read counters.
+/// How a copy is stored at its holder: an entry that references no
+/// shard, or a manifest entry plus data shards (xml/sharding.h). Only
+/// the replica layer decides it; callers see it just to file read
+/// counters.
 enum class CopyLayout { kWhole, kSharded };
 
 /// Owns every peer's transfer cache and the document version table.
@@ -231,9 +234,9 @@ class ReplicaManager {
   size_t RunAntiEntropySweep();
 
   /// Reconciles one holder's cache against current origin state,
-  /// shard-granularly: stale whole-document and manifest entries (origin
-  /// version moved on) and orphaned data shards (no longer referenced by
-  /// the origin's current split) are dropped; surviving fresh entries
+  /// shard-granularly: stale document entries (origin version moved on)
+  /// and orphaned data shards (no longer referenced by the origin's
+  /// current split) are dropped; surviving fresh entries
   /// are re-subscribed at the origin (repairing subscriptions lost to
   /// lease expiry or crash) and a complete fresh copy whose local name
   /// slot is free is re-installed and re-advertised. Under
@@ -255,9 +258,9 @@ class ReplicaManager {
   void OnPeerRejoin(PeerId peer);
 
   /// Arrival hook of an invalidation notification (wired as SendNotify's
-  /// delivery callback): drops whatever stale whole-document/manifest
-  /// entries of `origin` the holder still has. On a perfect fabric this
-  /// is always a no-op — PushInvalidate dropped them synchronously at
+  /// delivery callback): drops whatever stale document entries of
+  /// `origin` the holder still has. On a perfect fabric this is always
+  /// a no-op — PushInvalidate dropped them synchronously at
   /// mutation time — and a notification arriving late (holder already
   /// dropped the doc, or crashed and rejoined at a newer version) is
   /// tolerated the same way: a no-op, never an abort.
@@ -277,11 +280,12 @@ class ReplicaManager {
 
   // --- Document sharding (xml/sharding.h) ---
 
-  /// Turns sharded replication on or off. When on, documents that
-  /// SplitDocument splits (encoded size above the sharding config's
-  /// max_shard_bytes, >= 2 children at some depth, no
-  /// embedded service calls) replicate as manifest + data shards;
-  /// everything else keeps the whole-document path. Off by default.
+  /// Turns splitting on or off: the switch decides only whether
+  /// OriginShards splits. When on, documents that SplitDocument splits
+  /// (encoded size above the sharding config's max_shard_bytes, >= 2
+  /// children at some depth, no embedded service calls) ship as a
+  /// manifest entry + data shards; everything else ships as an entry
+  /// that references no shard. Off by default.
   void set_sharding_enabled(bool on) { sharding_enabled_ = on; }
 
   /// Splitter knobs. Takes effect on the next version of each document
@@ -384,23 +388,21 @@ class ReplicaManager {
 
   // --- Copies ---
 
-  /// Copy content as it landed at a holder, in one of the two layouts:
-  /// a whole document (`whole`, plus the wire bytes that carried it), or
-  /// a sharded delta (`manifest` plus the data shards the holder lacked).
-  /// (Default member initializers let callers name only the fields of
-  /// their layout.)
+  /// Copy content as it landed at a holder: the document entry (the
+  /// document itself, or its manifest), the bytes that carried it, and
+  /// the data shards that arrived with it. (Default member initializers
+  /// let callers name only the fields they fill.)
   struct LandedCopy {
-    TreePtr whole = nullptr;
-    /// The bytes that crossed the wire for `whole`; the cache stores them
-    /// verbatim. Empty: the cache encodes `whole` itself.
-    std::string whole_encoded = {};
-    TreePtr manifest = nullptr;
+    TreePtr tree = nullptr;
+    /// The bytes that crossed the wire for `tree`; the cache stores them
+    /// verbatim. Empty: the cache encodes `tree` itself.
+    std::string encoded = {};
     std::vector<DocumentShard> shards = {};
   };
 
   /// Records that `landed` — a copy of origin's `name` — materialized at
-  /// `reader`: caches it (a whole entry, or the manifest plus each
-  /// shipped shard), subscribes the holder under every cached key, and —
+  /// `reader`: caches it (the document entry plus each shipped shard),
+  /// subscribes the holder under every cached key, and —
   /// when the copy is complete and the reader holds no unrelated
   /// document of that name — installs it as a local document and
   /// advertises it (catalog + generic classes of the origin).
@@ -408,18 +410,17 @@ class ReplicaManager {
   /// copied for shipping* — passing the landing-time version would brand
   /// content cloned before a mid-flight mutation as fresh. Returns false
   /// without caching when the snapshot is already stale or the cache
-  /// refused the whole entry or the manifest; shards the budget refuses
-  /// leave a partial copy that later reads complete.
+  /// refused the entry; shards the budget refuses leave a partial copy
+  /// that later reads complete.
   bool InsertCopy(PeerId reader, PeerId origin, const DocName& name,
                   const LandedCopy& landed, uint64_t snapshot_version);
 
   /// A private instance of the fresh copy of origin's `name` held by
-  /// `reader`, or nullptr. For a whole copy it is decoded from the
-  /// resident wire bytes; for a complete sharded copy it is assembled
-  /// from the resident shards. A copy fetched before the document
-  /// crossed the shard cap is still served. A stale whole entry or
-  /// manifest is dropped (cache, local document, catalog, generic
-  /// classes) before returning the miss. Counts hit/miss stats. Never
+  /// `reader`, or nullptr. An entry that references no shard is decoded
+  /// from its resident wire bytes; a complete manifest entry is
+  /// assembled from the resident shards. A stale entry is dropped
+  /// (cache, local document, catalog, generic classes) before
+  /// returning the miss. Counts hit/miss stats. Never
   /// allocates a cache: a reader that never cached anything gets a
   /// plain miss (counted manager-side, see TotalStats). `layout`, when
   /// non-null, receives the layout that served the hit.
@@ -427,8 +428,9 @@ class ReplicaManager {
                     CopyLayout* layout = nullptr);
 
   /// Starts the transfer a read miss needs and makes its result a copy:
-  /// a whole document ships as one kTree payload; a sharded one ships
-  /// only the stale manifest and the data shards `reader` lacks, while
+  /// a document the origin does not split ships as one kTree payload; a
+  /// split one ships only the stale manifest and the data shards
+  /// `reader` lacks, while
   /// resident shards serve locally (each a cache hit). The landing
   /// caches what arrived, installs and advertises it (InsertCopy), and
   /// hands `deliver` a private instance of the document read (nullptr
@@ -440,14 +442,15 @@ class ReplicaManager {
              std::function<void(TreePtr)> deliver,
              CopyLayout* layout = nullptr);
 
-  /// True when `reader` holds a fresh copy of origin's `name` — a
-  /// whole-document entry at the current version, or a complete sharded
-  /// copy (fresh manifest, every data shard resident). No side effects
-  /// and no stats — the cost model probes with this.
+  /// True when `reader` holds a fresh copy of origin's `name`: its
+  /// document entry is at the current version and every data shard the
+  /// entry references is resident. No side effects and no stats — the
+  /// cost model probes with this.
   bool HasFresh(PeerId reader, PeerId origin, const DocName& name) const;
 
-  /// Serialized content bytes of the fresh copy (for a sharded copy, the
-  /// sum of its data-shard bytes), 0 when absent or incomplete.
+  /// Encoded content bytes of the fresh copy: the entry's, or the sum of
+  /// its data shards' when it references any. 0 when absent or
+  /// incomplete.
   uint64_t FreshCopyBytes(PeerId reader, PeerId origin,
                           const DocName& name) const;
 
@@ -507,8 +510,8 @@ class ReplicaManager {
   /// Retracts the local document + catalog + generic-class advertisements
   /// of the copy `key` held at `reader`. Invoked by the caches' evict
   /// listeners, so budget evictions retract advertisements too. Losing
-  /// *any* piece of a sharded copy (manifest or data shard) retracts the
-  /// installed document — installed ⇔ fully resident in cache.
+  /// *any* piece of a copy (entry or data shard) retracts the installed
+  /// document — installed ⇔ fully resident in cache.
   void RetractAdvertisements(PeerId reader, const ReplicaKey& key);
 
   /// Installs a private instance of reader's complete resident copy of
@@ -521,21 +524,22 @@ class ReplicaManager {
   /// Decodes a payload that landed at `holder` into the holder's own
   /// node ids: a kTree payload (a whole-document read) or a shipment
   /// envelope, whose snapshot version then overwrites
-  /// `*snapshot_version`. `resident_manifest` stands in for a manifest
-  /// the sender left out because the holder's was fresh. False when the
+  /// `*snapshot_version`. `resident_entry` stands in for an entry the
+  /// sender left out because the holder's was fresh. False when the
   /// holder is gone or the payload does not parse.
   bool DecodeLanded(const wire::Payload& p, PeerId holder,
-                    const TreePtr& resident_manifest, LandedCopy* landed,
+                    const TreePtr& resident_entry, LandedCopy* landed,
                     uint64_t* snapshot_version);
 
   /// Fills `ship` with the sharded delta of `sd` (document `doc`) toward
   /// the holder whose cache is `cache` (nullptr: it holds nothing): the
-  /// manifest unless the holder's is fresh at ship->snapshot_version,
+  /// manifest unless the holder's entry is fresh at
+  /// ship->snapshot_version,
   /// and each distinct data shard the holder lacks — content-addressed
   /// ids make "lacks" independent of the version a stale copy was cut
   /// from. A read passes `parts`: resident shards then serve through Get
   /// (a cache hit each) and are collected there. Tallies shipped and
-  /// reused pieces into `tally`. Returns the holder's fresh manifest when
+  /// reused pieces into `tally`. Returns the holder's fresh entry when
   /// it was left out — holding it keeps the blob alive for the landing
   /// even if the entry is evicted meanwhile — else nullptr.
   TreePtr EncodeShardDelta(const ShardedDocument& sd, const ReplicaKey& doc,
@@ -558,16 +562,16 @@ class ReplicaManager {
   Tracer* trace() const;
 
   /// Mutation fan-out (kDrop / kEagerRefresh), shard-granular: computes
-  /// which subscribed holders are *dirty* — whole-document holders and
-  /// pending refreshes always; holders of an installed (complete)
-  /// sharded copy; partial holders only when a data shard they hold is
-  /// no longer referenced by the new version — then notifies each dirty
-  /// holder, drops its dirty entries synchronously, and — under eager
-  /// refresh — starts the re-materializing shipment. Clean partial
-  /// holders are skipped entirely (SubscriptionStats::clean_skips):
-  /// their shards are still current, their stale manifest is caught by
-  /// the version check on its next lookup, and they were never
-  /// installed or advertised, so no stale read can route to them.
+  /// which subscribed holders are *dirty* — a document-key subscriber
+  /// that holds no entry (a refresh is pending) or a complete copy; a
+  /// holder of a data shard the new version no longer references — then
+  /// notifies each dirty holder, drops its dirty entries synchronously,
+  /// and — under eager refresh — starts the re-materializing shipment.
+  /// Partial holders with no dirty shard are skipped entirely
+  /// (SubscriptionStats::clean_skips): their shards are still current,
+  /// their stale entry is caught by the version check on its next
+  /// lookup, and an incomplete copy is never installed or advertised, so
+  /// no stale read can route to them.
   void PushInvalidate(const ReplicaKey& key);
 
   /// Ships the origin's current version of `key` to `holder`; the copy
@@ -587,8 +591,9 @@ class ReplicaManager {
   bool StartPlacementShipment(const PlacementDecision& decision);
 
   /// Shared wire leg of StartRefresh and StartPlacementShipment: clones
-  /// the origin's current content — whole, or as a sharded delta against
-  /// the holder's resident shards when the sharded path applies —
+  /// the origin's current content — an entry with zero shards, or as a
+  /// sharded delta against the holder's resident shards when the origin
+  /// splits the document —
   /// registers a generation token in refresh_inflight_, and sends.
   /// `admit` sees the wire size (the *delta* size for sharded
   /// shipments) before anything is committed — return false to veto

@@ -410,16 +410,11 @@ Payload EncodeShipment(const Shipment& s, WireStats* stats) {
   AppendVarint(s.origin, &out);
   AppendLengthPrefixed(s.name, &out);
   AppendVarint(s.snapshot_version, &out);
-  out.push_back(s.sharded ? 1 : 0);
-  if (s.sharded) {
-    AppendLengthPrefixed(s.manifest, &out);
-    AppendVarint(s.shards.size(), &out);
-    for (const Shipment::Shard& shard : s.shards) {
-      AppendLengthPrefixed(shard.id, &out);
-      AppendLengthPrefixed(shard.tree, &out);
-    }
-  } else {
-    AppendLengthPrefixed(s.whole, &out);
+  AppendLengthPrefixed(s.manifest, &out);
+  AppendVarint(s.shards.size(), &out);
+  for (const Shipment::Shard& shard : s.shards) {
+    AppendLengthPrefixed(shard.id, &out);
+    AppendLengthPrefixed(shard.tree, &out);
   }
   if (stats != nullptr) {
     stats->RecordEncode(MessageClass::kShipment, out.size(),
@@ -436,35 +431,24 @@ Result<Shipment> DecodeShipment(const Payload& p, WireStats* stats) {
     Shipment s;
     uint64_t origin = 0;
     std::string_view name;
-    uint8_t sharded = 0;
+    std::string_view manifest;
+    uint64_t shard_count = 0;
     if (!r.ReadVarint(&origin) || !r.ReadLengthPrefixed(&name) ||
-        !r.ReadVarint(&s.snapshot_version) || !r.ReadByte(&sharded)) {
+        !r.ReadVarint(&s.snapshot_version) ||
+        !r.ReadLengthPrefixed(&manifest) || !r.ReadVarint(&shard_count)) {
       return Malformed("shipment header");
     }
-    if (sharded > 1) return Malformed("shipment mode");
+    if (shard_count > r.remaining()) return Malformed("shard count");
     s.origin = static_cast<uint32_t>(origin);
     s.name = std::string(name);
-    s.sharded = sharded == 1;
-    if (s.sharded) {
-      std::string_view manifest;
-      uint64_t shard_count = 0;
-      if (!r.ReadLengthPrefixed(&manifest) || !r.ReadVarint(&shard_count)) {
-        return Malformed("shipment manifest");
+    s.manifest = std::string(manifest);
+    for (uint64_t i = 0; i < shard_count; ++i) {
+      std::string_view id;
+      std::string_view tree;
+      if (!r.ReadLengthPrefixed(&id) || !r.ReadLengthPrefixed(&tree)) {
+        return Malformed("shipment shard");
       }
-      if (shard_count > r.remaining()) return Malformed("shard count");
-      s.manifest = std::string(manifest);
-      for (uint64_t i = 0; i < shard_count; ++i) {
-        std::string_view id;
-        std::string_view tree;
-        if (!r.ReadLengthPrefixed(&id) || !r.ReadLengthPrefixed(&tree)) {
-          return Malformed("shipment shard");
-        }
-        s.shards.push_back({std::string(id), std::string(tree)});
-      }
-    } else {
-      std::string_view whole;
-      if (!r.ReadLengthPrefixed(&whole)) return Malformed("shipment body");
-      s.whole = std::string(whole);
+      s.shards.push_back({std::string(id), std::string(tree)});
     }
     if (!r.done()) return Malformed("trailing bytes after shipment");
     return s;

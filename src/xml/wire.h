@@ -8,7 +8,7 @@
 // e.g. budget admission). The format is deliberately small and
 // versioned:
 //
-//   byte 0   kWireVersion (2)
+//   byte 0   kWireVersion (3)
 //   byte 1   MessageClass
 //   body     class-specific, varint-framed (see docs/wire-format.md)
 //
@@ -41,7 +41,7 @@ namespace axml {
 namespace wire {
 
 /// Bumped on any incompatible layout change; decoders reject mismatches.
-inline constexpr uint8_t kWireVersion = 2;
+inline constexpr uint8_t kWireVersion = 3;
 /// Every message starts with the version byte and the class byte.
 inline constexpr uint64_t kHeaderBytes = 2;
 
@@ -49,7 +49,7 @@ inline constexpr uint64_t kHeaderBytes = 2;
 /// for per-class byte accounting (NetStats) and decode dispatch.
 enum class MessageClass : uint8_t {
   kTree = 0,      ///< one standalone tree blob (document / shard ship)
-  kShipment = 1,  ///< replica shipment: whole doc or manifest + shards
+  kShipment = 1,  ///< replica shipment: document entry + shards
   kNotify = 2,    ///< invalidation notify batch
   kLease = 3,     ///< subscription lease renewal
   kDigest = 4,    ///< anti-entropy manifest/shard digest exchange
@@ -153,7 +153,7 @@ struct NotifyBatch {
   uint32_t origin = 0;
   struct Key {
     std::string name;
-    std::string shard;  ///< "" whole doc, "#manifest", or shard id
+    std::string shard;  ///< "" document entry, or a data-shard id
   };
   std::vector<Key> keys;
 };
@@ -175,16 +175,17 @@ Payload EncodeLeaseRenewal(const LeaseRenewal& lease,
 Result<LeaseRenewal> DecodeLeaseRenewal(const Payload& p,
                                         WireStats* stats = nullptr);
 
-/// A replica shipment origin -> holder: a whole document, or a manifest
-/// and/or the data shards the holder lacks. Embedded trees are complete
-/// kTree blobs, byte-identical to what the holder's cache will store.
+/// A replica shipment origin -> holder: the holder's document entry
+/// (xml/sharding.h's manifest, or the document itself) and the data
+/// shards that entry references and the holder lacks. A whole document
+/// is a shipment with zero shards. Embedded trees are complete kTree
+/// blobs, byte-identical to what the holder's cache will store.
 struct Shipment {
   uint32_t origin = 0;
   std::string name;
   uint64_t snapshot_version = 0;
-  bool sharded = false;
-  std::string whole;     ///< kTree blob; only when !sharded
-  std::string manifest;  ///< kTree blob; "" = manifest not shipped
+  /// kTree blob of the entry; "" = not shipped, the holder's is fresh.
+  std::string manifest;
   struct Shard {
     std::string id;    ///< content-digest hex id
     std::string tree;  ///< kTree blob

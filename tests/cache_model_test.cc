@@ -5,7 +5,7 @@
 // is policies × budgets × dedup aliasing × versioned staleness. This
 // harness drives ~10k seeded-random Put/Get/Erase/set_byte_budget ops
 // per policy against a plain-map reference oracle — over *shard-granular*
-// keys (whole-document, manifest and data-shard entries of one document
+// keys (the document entry and the data-shard entries of one document
 // coexist as independent entries) — and asserts the invariants after
 // every single op:
 //
@@ -68,8 +68,8 @@ class CacheModelHarness {
         [this](const ReplicaKey& key, const TransferCache::Entry&) {
           departures_.push_back(key);
           // Mirror of the ReplicaManager's shard-granular subscription
-          // rule: every departing entry — whole-document, manifest or
-          // data shard — ends its own subscription.
+          // rule: every departing entry — document entry or data shard —
+          // ends its own subscription.
           subscribed_.erase(key);
         });
     // Content pool: distinct sizes exercise budget pressure; two entries
@@ -113,14 +113,9 @@ class CacheModelHarness {
     ReplicaKey key{PeerId(static_cast<uint32_t>(rng_.Index(kOrigins))),
                    StrCat("d", rng_.Index(kNames))};
     // Shard-granular keys: the cache treats the shard dimension as
-    // opaque, so whole-document keys, manifests and data shards of one
+    // opaque, so the document entry and the data shards of one
     // document must coexist as independent entries under every policy.
-    const uint64_t kind = rng_.Uniform(4);
-    if (kind == 1) {
-      key.shard = kManifestShardId;
-    } else if (kind >= 2) {
-      key.shard = StrCat("shard", rng_.Index(3));
-    }
+    if (rng_.Uniform(4) >= 2) key.shard = StrCat("shard", rng_.Index(3));
     return key;
   }
 
@@ -269,8 +264,8 @@ class CacheModelHarness {
 
     // Shard-granular subscription invariant: a holder driven by the
     // subscribe-on-insert / unsubscribe-on-evict rule is subscribed to
-    // exactly the keys it has resident — whole-document, manifest and
-    // data-shard entries alike. This is what lets mutation fan-out skip
+    // exactly the keys it has resident — document and data-shard entries
+    // alike. This is what lets mutation fan-out skip
     // holders of untouched shards without ever leaking a subscription.
     const std::vector<ReplicaKey> resident = cache_.Keys();
     EXPECT_EQ(subscribed_,

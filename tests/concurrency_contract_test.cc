@@ -164,7 +164,7 @@ TEST(ReplicaManagerContractTest, DistinctKeyMutationsLegallyNest) {
   TreePtr t = MakeTextElement("r", "x", &gen);
   ASSERT_TRUE(sys.InstallDocument(owner, "d", t->CloneSameIds()).ok());
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, owner, "d", {.whole = t->Clone(sys.peer(reader)->gen())},
+      reader, owner, "d", {.tree = t->Clone(sys.peer(reader)->gen())},
       sys.replicas().Version(owner, "d")));
   ASSERT_TRUE(sys.replicas().HasFresh(reader, owner, "d"));
   sys.replicas().NoteMutation(owner, "d");  // nests; must not abort
@@ -183,7 +183,7 @@ TEST_F(ReplicaManagerDeathTest, SameKeyMutationCycleAborts) {
         ASSERT_TRUE(
             sys.replicas().InsertCopy(
                 reader, owner, "d",
-                {.whole = t->Clone(sys.peer(reader)->gen())},
+                {.tree = t->Clone(sys.peer(reader)->gen())},
                 sys.replicas().Version(owner, "d")));
         // A buggy listener: when the push-drop removes reader's copy,
         // re-enter NoteMutation for the key whose fan-out is running.
@@ -211,7 +211,7 @@ TEST(ReplicaManagerContractTest, CrashRejoinChurnNestsLegally) {
   TreePtr t = MakeTextElement("r", "x", &gen);
   ASSERT_TRUE(sys.InstallDocument(owner, "d", t->CloneSameIds()).ok());
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, owner, "d", {.whole = t->Clone(sys.peer(reader)->gen())},
+      reader, owner, "d", {.tree = t->Clone(sys.peer(reader)->gen())},
       sys.replicas().Version(owner, "d")));
   // The notify is committed to the wire here; the synchronous push-drop
   // already removed reader's copy.
@@ -226,7 +226,7 @@ TEST(ReplicaManagerContractTest, CrashRejoinChurnNestsLegally) {
   // reconciliation must drop the stale survivor before it can serve.
   ASSERT_TRUE(sys.replicas().InsertCopy(
       reader, owner, "d",
-      {.whole = sys.peer(owner)->GetDocument("d")->Clone(
+      {.tree = sys.peer(owner)->GetDocument("d")->Clone(
            sys.peer(reader)->gen())},
       sys.replicas().Version(owner, "d")));
   sys.CrashPeer(reader, CrashMode::kDurableCache);

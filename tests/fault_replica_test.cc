@@ -46,7 +46,7 @@ struct Pair {
   bool CacheCopy() {
     TreePtr truth = sys.peer(origin)->GetDocument("d");
     return sys.replicas().InsertCopy(
-        reader, origin, "d", {.whole = truth->Clone(sys.peer(reader)->gen())},
+        reader, origin, "d", {.tree = truth->Clone(sys.peer(reader)->gen())},
         sys.replicas().Version(origin, "d"));
   }
 

@@ -5,9 +5,11 @@
 // d@any generic resolutions — interleaved with periodic mutations at
 // the origins and proactive placement rounds (manual or tick-driven),
 // under every (EvictionPolicy × RefreshPolicy) pair. Sharding is on
-// with a cap small enough that the larger documents replicate as
-// manifest + data shards, so every combination also soaks the
-// shard-granular paths. Three properties must hold:
+// with a 300 B cap, and every mutation moves its document across that
+// cap — a split document is rewritten small enough to ship whole, any
+// other one large enough to split — so copies keep changing layout
+// under their holders while every combination also soaks the
+// shard-granular paths. Four properties must hold:
 //
 //   1. No stale read ever lands: every read returns content equal to
 //      the origin's document *at read time*, whichever copy served it.
@@ -41,7 +43,9 @@
 #include "peer/system.h"
 #include "replica/replica_manager.h"
 #include "test_util.h"
+#include "xml/sharding.h"
 #include "xml/tree_equal.h"
+#include "xml/wire.h"
 
 namespace axml {
 namespace {
@@ -52,6 +56,11 @@ constexpr size_t kOrigins = 2;
 constexpr size_t kReaders = 6;
 constexpr size_t kDocsPerOrigin = 6;
 constexpr size_t kSoakOps = 400;
+/// The sharding cap, and the filler counts a mutation flips a document
+/// between: kSmallFiller stays under the cap, kLargeFiller goes over.
+constexpr uint64_t kShardCapBytes = 300;
+constexpr size_t kSmallFiller = 4;
+constexpr size_t kLargeFiller = 40;
 
 struct SoakDoc {
   DocName name;
@@ -109,10 +118,11 @@ class SoakHarness {
     sys_.replicas().set_default_eviction_policy(eviction);
     // Tight enough that hot-tail churn forces evictions.
     sys_.replicas().set_default_byte_budget(5000);
-    // Small enough that the larger docs shard (the smaller ones keep
-    // the whole-document path, so both coexist in every cache).
+    // Small enough that the larger initial docs split and the smaller
+    // ones ship whole, so both coexist in every cache; mutations then
+    // move documents across it (Run).
     ShardingConfig shard_cfg;
-    shard_cfg.max_shard_bytes = 300;
+    shard_cfg.max_shard_bytes = kShardCapBytes;
     sys_.replicas().set_sharding_config(shard_cfg);
     sys_.replicas().set_sharding_enabled(true);
     PlacementConfig placement;
@@ -218,12 +228,20 @@ class SoakHarness {
       if (::testing::Test::HasFailure()) return;
 
       if (i % 7 == 6) {
-        // Mutation at the origin: bump the revision; push policies
-        // retract or refresh copies before this returns.
+        // Mutation at the origin: bump the revision and move the
+        // document across the shard cap; push policies retract or
+        // refresh copies before this returns.
         SoakDoc& victim = docs_[zipf.Sample(&rng_)];
         ++victim.revision;
         Peer* host = sys_.peer(victim.origin);
-        host->PutDocument(victim.name, MakeDoc(victim, host->gen()));
+        const bool was_split =
+            wire::EncodedTreeSize(*host->GetDocument(victim.name)) >
+            kShardCapBytes;
+        victim.filler = was_split ? kSmallFiller : kLargeFiller;
+        TreePtr next = MakeDoc(victim, host->gen());
+        ASSERT_NE(wire::EncodedTreeSize(*next) > kShardCapBytes, was_split)
+            << victim.name << " did not cross the shard cap";
+        host->PutDocument(victim.name, next);
         sys_.RunToQuiescence();
       }
       if (!tick_placement_ && i % 30 == 29) {
@@ -295,19 +313,22 @@ class SoakHarness {
           EXPECT_TRUE(subs.IsSubscribed(key, reader))
               << key.ToString() << " resident at " << reader.ToString()
               << " but not subscribed";
-          if (refresh != RefreshPolicy::kLazy && !key.is_shard_data()) {
+          if (refresh != RefreshPolicy::kLazy && key.is_doc()) {
             // Push policies leave no stale *dirty* entry behind at
-            // quiescence: whole-document entries are always pushed;
-            // data shards are immutable (version 0 by design); a
-            // manifest may outlive the version it was cut at only on a
-            // clean partial holder — never installed, so nothing
-            // advertised can serve it, and its version check drops it
-            // on the next lookup.
+            // quiescence: complete copies are always pushed; data
+            // shards are immutable (version 0 by design); an entry may
+            // outlive the version it was cut at only on a clean partial
+            // holder — never installed, so nothing advertised can serve
+            // it, and its version check drops it on the next lookup.
             const TransferCache::Entry* e = cache->Peek(key);
             ASSERT_NE(e, nullptr);
-            if (key.is_doc() ||
-                sys_.replicas().InstalledOrigin(reader, key.name) ==
-                    key.origin) {
+            bool complete = true;
+            for (const std::string& id : ManifestShardIds(*e->tree)) {
+              complete = complete &&
+                         cache->Peek(ReplicaKey{key.origin, key.name, id}) !=
+                             nullptr;
+            }
+            if (complete) {
               EXPECT_EQ(e->origin_version,
                         sys_.replicas().Version(key.origin, key.name))
                   << key.ToString() << " resident but stale under push";

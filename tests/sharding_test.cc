@@ -577,6 +577,85 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(param_info.param.name);
     });
 
+// --- A copy whose document crosses the shard cap ---
+
+/// A copy lands in one layout, then the origin rewrites the document
+/// across the shard cap. The re-read must replace the copy, not leave
+/// the old one installed beside it: under kLazy nothing is dropped at
+/// mutation time, so only the re-read's own lookup can catch it.
+struct CapCrossingCase {
+  const char* name;
+  RefreshPolicy refresh;
+  size_t before;  ///< catalog products at the first read
+  size_t after;   ///< catalog products after the rewrite
+};
+
+void PrintTo(const CapCrossingCase& c, std::ostream* os) { *os << c.name; }
+
+class CapCrossingTest : public ::testing::TestWithParam<CapCrossingCase> {};
+
+TEST_P(CapCrossingTest, ReReadReplacesTheInstalledCopy) {
+  const CapCrossingCase& c = GetParam();
+  ShardedPeers f(c.before);
+  ReplicaManager& rm = f.sys.replicas();
+  rm.set_refresh_policy(c.refresh);
+  f.sys.generics().AddDocumentMember("cls", ClassMember{"d", f.origin});
+  Evaluator ev(&f.sys, CachingOptions());
+  const ExprPtr read = Expr::Doc("d", f.origin);
+
+  ASSERT_TRUE(ev.Eval(f.client, read).ok());
+  ASSERT_TRUE(rm.HasFreshInstalled(f.client, f.origin, "d"));
+  const bool sharded_before = rm.OriginShards(f.origin, "d") != nullptr;
+
+  Peer* host = f.sys.peer(f.origin);
+  Rng rng(29);
+  host->PutDocument("d", MakeCatalog(c.after, host->gen(), &rng));
+  f.sys.RunToQuiescence();
+  ASSERT_NE(rm.OriginShards(f.origin, "d") != nullptr, sharded_before);
+  const TreePtr truth = host->GetDocument("d");
+
+  auto reread = ev.Eval(f.client, read);
+  ASSERT_TRUE(reread.ok());
+  ASSERT_EQ(reread->results.size(), 1u);
+  EXPECT_TRUE(TreesEqualUnordered(*reread->results[0], *truth));
+  f.sys.RunToQuiescence();
+
+  // A copy called fresh and installed is the origin's current content.
+  if (rm.HasFreshInstalled(f.client, f.origin, "d")) {
+    TreePtr installed = f.sys.peer(f.client)->GetDocument("d");
+    ASSERT_NE(installed, nullptr);
+    EXPECT_TRUE(TreesEqualUnordered(*installed, *truth));
+  }
+  // So is what a generic read at the client returns, whichever member
+  // serves it.
+  auto generic = ev.Eval(f.client, Expr::GenericDoc("cls"));
+  ASSERT_TRUE(generic.ok());
+  ASSERT_EQ(generic->results.size(), 1u);
+  EXPECT_TRUE(TreesEqualUnordered(*generic->results[0], *truth));
+
+  // One entry per document: every other resident key is a data shard.
+  size_t entries = 0;
+  for (const ReplicaKey& k :
+       rm.FindCache(f.client)->KeysForDoc(f.origin, "d")) {
+    if (!k.is_shard_data()) ++entries;
+  }
+  EXPECT_LE(entries, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothDirections, CapCrossingTest,
+    ::testing::Values(
+        CapCrossingCase{"drop_grow", RefreshPolicy::kDrop, 4, 200},
+        CapCrossingCase{"drop_shrink", RefreshPolicy::kDrop, 200, 4},
+        CapCrossingCase{"lazy_grow", RefreshPolicy::kLazy, 4, 200},
+        CapCrossingCase{"lazy_shrink", RefreshPolicy::kLazy, 200, 4},
+        CapCrossingCase{"eager_grow", RefreshPolicy::kEagerRefresh, 4, 200},
+        CapCrossingCase{"eager_shrink", RefreshPolicy::kEagerRefresh, 200,
+                        4}),
+    [](const ::testing::TestParamInfo<CapCrossingCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
 TEST(ShardedReplicaTest, ReadRoundTripsAndSecondReadIsLocal) {
   ShardedPeers f;
   // Baseline result set from the non-caching semantics.
@@ -834,7 +913,7 @@ struct PartialHolders {
       }
       ASSERT_TRUE(sys.replicas().InsertCopy(
           reader, origin, "d",
-          {.manifest = sd->manifest->Clone(sys.peer(reader)->gen()),
+          {.tree = sd->manifest->Clone(sys.peer(reader)->gen()),
            .shards = std::move(subset)},
           version));
     };
@@ -862,8 +941,7 @@ TEST(ShardSubscriptionTest, SubscriptionsMirrorResidentShards) {
   PartialHolders f;
   const SubscriptionTable& subs = f.sys.replicas().subscriptions();
   // Each holder is subscribed to exactly what it has resident: its
-  // manifest plus its own half of the data shards — no document-level
-  // subscription for a partial copy.
+  // document entry (the manifest) plus its own half of the data shards.
   for (PeerId reader : {f.a, f.b}) {
     const TransferCache* cache = f.sys.replicas().FindCache(reader);
     ASSERT_NE(cache, nullptr);
@@ -871,7 +949,7 @@ TEST(ShardSubscriptionTest, SubscriptionsMirrorResidentShards) {
       EXPECT_TRUE(subs.IsSubscribed(key, reader)) << key.ToString();
     }
   }
-  EXPECT_FALSE(subs.IsSubscribed(ReplicaKey{f.origin, "d"}, f.a));
+  EXPECT_TRUE(subs.IsSubscribed(ReplicaKey{f.origin, "d"}, f.a));
   for (const std::string& id : f.b_ids) {
     EXPECT_TRUE(subs.IsSubscribed(ReplicaKey{f.origin, "d", id}, f.b));
     EXPECT_FALSE(subs.IsSubscribed(ReplicaKey{f.origin, "d", id}, f.a));
@@ -896,19 +974,18 @@ TEST(ShardSubscriptionTest, MutationNotifiesOnlyHoldersOfTheDirtyShard) {
   EXPECT_EQ(ss.clean_skips, 1u);
   EXPECT_EQ(f.sys.network().stats().notify_messages(), 1u);
 
-  // a lost its manifest and the dirty shard; its live shards stayed.
+  // a lost its manifest entry and the dirty shard; its live shards
+  // stayed.
   const TransferCache* cache_a = f.sys.replicas().FindCache(f.a);
-  EXPECT_EQ(cache_a->Peek(ReplicaKey{f.origin, "d", kManifestShardId}),
-            nullptr);
+  EXPECT_EQ(cache_a->Peek(ReplicaKey{f.origin, "d"}), nullptr);
   EXPECT_EQ(cache_a->Peek(ReplicaKey{f.origin, "d", f.a_ids[0]}), nullptr);
   for (size_t i = 1; i < f.a_ids.size(); ++i) {
     EXPECT_NE(cache_a->Peek(ReplicaKey{f.origin, "d", f.a_ids[i]}), nullptr);
   }
-  // b was untouched: manifest (stale, version-checked on next lookup)
-  // and every data shard still resident and subscribed.
+  // b was untouched: manifest entry (stale, version-checked on next
+  // lookup) and every data shard still resident and subscribed.
   const TransferCache* cache_b = f.sys.replicas().FindCache(f.b);
-  EXPECT_NE(cache_b->Peek(ReplicaKey{f.origin, "d", kManifestShardId}),
-            nullptr);
+  EXPECT_NE(cache_b->Peek(ReplicaKey{f.origin, "d"}), nullptr);
   for (const std::string& id : f.b_ids) {
     EXPECT_NE(cache_b->Peek(ReplicaKey{f.origin, "d", id}), nullptr);
     EXPECT_TRUE(f.sys.replicas().subscriptions().IsSubscribed(

@@ -102,7 +102,7 @@ TEST(VersionContractTest, FirstEverMutationInvalidatesPreexistingCopies) {
   // for this name yet — e.g. state seeded outside the listener).
   const uint64_t snap = sys.replicas().Version(owner, "d");
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, owner, "d", {.whole = t->Clone(sys.peer(reader)->gen())}, snap));
+      reader, owner, "d", {.tree = t->Clone(sys.peer(reader)->gen())}, snap));
   ASSERT_TRUE(sys.replicas().HasFresh(reader, owner, "d"));
   // The first-ever mutation event must strand that copy.
   sys.replicas().NoteMutation(owner, "d");
@@ -172,11 +172,11 @@ TEST(CacheStatsTest, PromotionErasesEveryDedupAliasOfTheBlob) {
   TreePtr a = MakeCatalog(8, &g1, &r1);
   TreePtr b = MakeCatalog(8, &g2, &r2);
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, o1, "d", {.whole = a}, sys.replicas().Version(o1, "d")));
+      reader, o1, "d", {.tree = a}, sys.replicas().Version(o1, "d")));
   // The second origin publishes the same content under another name, so
   // both cache entries live in the reader's cache and share the blob.
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, o2, "mirror", {.whole = b},
+      reader, o2, "mirror", {.tree = b},
       sys.replicas().Version(o2, "mirror")));
   const TransferCache* cache = sys.replicas().FindCache(reader);
   ASSERT_NE(cache, nullptr);
@@ -297,14 +297,14 @@ TEST(CacheStatsTest, CostAwareProtectsTheExpensiveDistantCopy) {
   sys.replicas().set_default_byte_budget(wire::EncodedTreeSize(*big) +
                                          wire::EncodedTreeSize(*small) + 64);
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, far, "hot", {.whole = big}, sys.replicas().Version(far, "hot")));
+      reader, far, "hot", {.tree = big}, sys.replicas().Version(far, "hot")));
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, near, "c0", {.whole = small},
+      reader, near, "c0", {.tree = small},
       sys.replicas().Version(near, "c0")));
   // Over budget now: someone must go — the cheap nearby copy, not the
   // expensive distant one, even though the distant one is older.
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, near, "c1", {.whole = extra},
+      reader, near, "c1", {.tree = extra},
       sys.replicas().Version(near, "c1")));
   EXPECT_TRUE(sys.replicas().HasFresh(reader, far, "hot"));
   EXPECT_FALSE(sys.replicas().HasFresh(reader, near, "c0"));
@@ -321,10 +321,10 @@ TEST(CacheStatsTest, TotalStatsSumsAcrossPeersAndUncachedMisses) {
   TreePtr t = MakeCatalog(8, &gen, &rng);
 
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      r1, owner, "d", {.whole = t->Clone(sys.peer(r1)->gen())},
+      r1, owner, "d", {.tree = t->Clone(sys.peer(r1)->gen())},
       sys.replicas().Version(owner, "d")));
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      r2, owner, "d", {.whole = t->Clone(sys.peer(r2)->gen())},
+      r2, owner, "d", {.tree = t->Clone(sys.peer(r2)->gen())},
       sys.replicas().Version(owner, "d")));
   // r1: one hit. r2: one hit, one (stale-free) hit. A third peer that
   // never cached: one manager-side miss.

@@ -157,32 +157,26 @@ TEST(WireModelTest, ProtocolMessagesRoundTrip) {
     EXPECT_EQ(lr->origin, lease.origin);
     EXPECT_EQ(lr->subscribed_keys, lease.subscribed_keys);
 
-    // Shipment, whole and sharded.
+    // Shipment: an entry plus shards. Every fourth one carries zero
+    // shards (a whole document) and every fifth leaves the entry out
+    // (the holder's was fresh), so both shapes round-trip on every seed.
     wire::Shipment ship;
     ship.origin = static_cast<uint32_t>(rng.Index(64));
     ship.name = StrCat("doc", rng.Index(9));
     ship.snapshot_version = 1 + rng.Uniform(100);
-    ship.sharded = rng.Bernoulli(0.5);
     TreePtr content = MakeRandomTree(1 + rng.Index(10), &gen, &rng);
-    if (ship.sharded) {
-      ship.manifest =
-          rng.Bernoulli(0.8) ? wire::EncodeTree(*content) : std::string();
-      const size_t shards = rng.Index(4);
-      for (size_t s = 0; s < shards; ++s) {
-        TreePtr shard_tree = MakeRandomTree(1 + rng.Index(6), &gen, &rng);
-        ship.shards.push_back({DigestOf(*shard_tree).ToString(),
-                               wire::EncodeTree(*shard_tree)});
-      }
-    } else {
-      ship.whole = wire::EncodeTree(*content);
+    ship.manifest = i % 5 == 0 ? std::string() : wire::EncodeTree(*content);
+    const size_t shipped = i % 4 == 0 ? 0 : 1 + rng.Index(3);
+    for (size_t s = 0; s < shipped; ++s) {
+      TreePtr shard_tree = MakeRandomTree(1 + rng.Index(6), &gen, &rng);
+      ship.shards.push_back({DigestOf(*shard_tree).ToString(),
+                             wire::EncodeTree(*shard_tree)});
     }
     auto sp = wire::DecodeShipment(wire::EncodeShipment(ship));
     ASSERT_TRUE(sp.ok()) << sp.status();
     EXPECT_EQ(sp->origin, ship.origin);
     EXPECT_EQ(sp->name, ship.name);
     EXPECT_EQ(sp->snapshot_version, ship.snapshot_version);
-    EXPECT_EQ(sp->sharded, ship.sharded);
-    EXPECT_EQ(sp->whole, ship.whole);
     EXPECT_EQ(sp->manifest, ship.manifest);
     ASSERT_EQ(sp->shards.size(), ship.shards.size());
     for (size_t s = 0; s < ship.shards.size(); ++s) {
@@ -276,16 +270,38 @@ TEST(WireModelTest, TruncatedAndCorruptedBuffersRejectedWithStatus) {
     EXPECT_FALSE(
         wire::DecodeNotifyBatch(wire::Payload(nb.substr(0, cut))).ok());
   }
-  wire::Shipment ship;
-  ship.origin = 1;
-  ship.name = "d";
-  ship.snapshot_version = 2;
-  ship.whole = blob;
-  const std::string sb = wire::EncodeShipment(ship).bytes();
-  for (size_t cut = 0; cut < sb.size(); ++cut) {
-    EXPECT_FALSE(
-        wire::DecodeShipment(wire::Payload(sb.substr(0, cut))).ok());
+  // Shipments: a zero-shard one (a whole document), a manifest-less one
+  // (the holder's entry was fresh) and one with both parts.
+  wire::Shipment whole;
+  whole.origin = 1;
+  whole.name = "d";
+  whole.snapshot_version = 2;
+  whole.manifest = blob;
+  wire::Shipment manifest_less = whole;
+  manifest_less.manifest.clear();
+  manifest_less.shards.push_back({DigestOf(*t).ToString(), blob});
+  wire::Shipment both = manifest_less;
+  both.manifest = blob;
+  for (const wire::Shipment& ship : {whole, manifest_less, both}) {
+    const std::string sb = wire::EncodeShipment(ship).bytes();
+    ASSERT_TRUE(wire::DecodeShipment(wire::Payload(sb)).ok());
+    for (size_t cut = 0; cut < sb.size(); ++cut) {
+      EXPECT_FALSE(
+          wire::DecodeShipment(wire::Payload(sb.substr(0, cut))).ok());
+    }
+    // Trailing bytes after a complete body reject.
+    EXPECT_FALSE(wire::DecodeShipment(wire::Payload(sb + '\0')).ok());
   }
+  // A whole document is its entry plus a one-byte zero shard count.
+  const std::string wb = wire::EncodeShipment(whole).bytes();
+  EXPECT_EQ(wb.size(), wire::kHeaderBytes + wire::VarintSize(1) +
+                           wire::VarintSize(1) + 1 + wire::VarintSize(2) +
+                           wire::VarintSize(blob.size()) + blob.size() + 1);
+  // A shard count the remaining bytes cannot hold rejects: the zero
+  // count is the whole shipment's last byte.
+  std::string bad_count = wb;
+  bad_count.back() = 5;
+  EXPECT_FALSE(wire::DecodeShipment(wire::Payload(bad_count)).ok());
 }
 
 TEST(WireModelTest, VersionAndClassMismatchesRejected) {

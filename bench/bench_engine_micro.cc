@@ -5,6 +5,7 @@
 
 #include "bench_common.h"
 #include "query/query.h"
+#include "xml/wire.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_serializer.h"
 
@@ -102,11 +103,14 @@ void BM_EventLoopThroughput(benchmark::State& state) {
 }
 
 void BM_NetworkMessageRate(benchmark::State& state) {
+  // A 100-byte message: header, length byte, 97 bytes of text.
+  const wire::Payload message =
+      wire::EncodeText(wire::MessageClass::kQuery, std::string(97, 'q'));
   for (auto _ : state) {
     EventLoop loop;
     Network net(&loop, Topology(LinkParams{0.001, 1e9}));
     for (int64_t i = 0; i < state.range(0); ++i) {
-      net.Send(PeerId(0), PeerId(1), 100, [] {});
+      net.Send(PeerId(0), PeerId(1), message, nullptr);
     }
     loop.Run();
     benchmark::DoNotOptimize(net.stats().total_messages());

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Ten checks over src/ (and tests/, bench/, examples/ where noted),
+Eleven checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
 
@@ -77,6 +77,14 @@ comments:
                        replica/ (which stores copies) may
                        ``#include "xml/sharding.h"``; everything else
                        makes layout-blind calls into ReplicaManager.
+
+  flat-size            Every message is priced at its encoded size
+                       (wire::Payload::size()). Under src/ no argument
+                       of ``TransferTime(`` or ``EstimateTransferTime(``
+                       may be an integer literal or a ``k...Bytes``
+                       constant: a delay computed from a flat message
+                       size is a second price that drifts from the bytes
+                       the network charges.
 
 Suppressions: append ``// lint: allow-<check>`` (e.g. ``// lint:
 allow-determinism``) to the flagged line or the line above. Use rarely;
@@ -556,6 +564,54 @@ def check_sharding_include(sf: SourceFile) -> Iterator[Finding]:
             )
 
 
+# --- flat-size ---
+
+_TRANSFER_TIME_RE = re.compile(r"\b(?:Estimate)?TransferTime\s*\(")
+_INT_LITERAL_RE = re.compile(r"^\d[\d']*[uUlLzZ]*$")
+_BYTES_CONSTANT_RE = re.compile(r"\bk[A-Z]\w*Bytes\b")
+
+
+def call_arguments(text: str, open_paren: int) -> list[str]:
+    """Top-level comma-separated arguments of the call whose '(' is at
+    ``open_paren`` in ``text`` (unterminated calls end at the text)."""
+    args: list[str] = []
+    depth = 0
+    start = open_paren + 1
+    for i in range(open_paren, len(text)):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i])
+                break
+        elif ch == "," and depth == 1:
+            args.append(text[start:i])
+            start = i + 1
+    return [a.strip() for a in args]
+
+
+def check_flat_size(sf: SourceFile) -> Iterator[Finding]:
+    """Transfer delays under src/ read encoded sizes, never flat ones."""
+    text = "\n".join(sf.code)
+    for m in _TRANSFER_TIME_RE.finditer(text):
+        line = text.count("\n", 0, m.start()) + 1
+        if suppressed(sf, line, "flat-size"):
+            continue
+        for arg in call_arguments(text, m.end() - 1):
+            if _INT_LITERAL_RE.match(arg) or _BYTES_CONSTANT_RE.search(arg):
+                yield Finding(
+                    sf.path,
+                    line,
+                    "flat-size",
+                    f"flat message size '{arg}' priced into a transfer "
+                    "delay — price what is carried: a wire::Payload's "
+                    "size() (xml/wire.h)",
+                )
+                break
+
+
 def run_checks() -> list[Finding]:
     findings: list[Finding] = []
     for path in cxx_files(["src", "tests", "bench", "examples"]):
@@ -572,6 +628,7 @@ def run_checks() -> list[Finding]:
             findings.extend(check_canonical_string(sf))
             findings.extend(check_size_estimate(sf))
             findings.extend(check_sharding_include(sf))
+            findings.extend(check_flat_size(sf))
         if top == "src" and "fault_injector" in path.name:
             findings.extend(check_injected_rng(sf))
         findings.extend(check_determinism(sf))

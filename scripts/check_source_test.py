@@ -209,6 +209,28 @@ class ShardingIncludeTest(unittest.TestCase):
             self.assertEqual(list(cs.check_sharding_include(sf)), [], home)
 
 
+class FlatSizeTest(unittest.TestCase):
+    def test_flags_flat_sizes_in_transfer_delays(self) -> None:
+        sf = fixture("bad_flat_size.cc", pose_as="net/catalog.cc")
+        findings = list(cs.check_flat_size(sf))
+        self.assertEqual(flagged_lines(findings, "flat-size"), marked_lines(sf))
+
+    def test_gated_under_src_only(self) -> None:
+        raw = cs.load(FIXTURES / "bad_flat_size.cc")
+        posed = cs.REPO_ROOT / "src" / "net" / "bad_flat_size.cc"
+        outside = cs.REPO_ROOT / "bench" / "bad_flat_size.cc"
+        with mock.patch.object(
+            cs, "cxx_files", lambda dirs: iter([posed, outside])
+        ), mock.patch.object(
+            cs, "load", lambda path: cs.SourceFile(path, raw.raw, raw.code)
+        ):
+            findings = [f for f in cs.run_checks() if f.check == "flat-size"]
+        self.assertEqual(
+            sorted(f.line for f in findings if f.path == posed), marked_lines(raw)
+        )
+        self.assertEqual([f for f in findings if f.path == outside], [])
+
+
 class CleanFixtureTest(unittest.TestCase):
     def test_no_check_fires_on_clean_code(self) -> None:
         sf = fixture("clean.cc")

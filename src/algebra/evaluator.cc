@@ -124,11 +124,12 @@ void Evaluator::Ship(PeerId from, PeerId to, const TreePtr& tree,
   }
   if (from == to) {
     // A same-peer send moves nothing and must deliver the very instance
-    // (local grafts rely on node identity), priced at what its encoding
-    // would have cost on a real wire.
+    // (local grafts rely on node identity), priced at its encoding.
     sys_->network().SendReliable(
-        from, to, wire::EncodedTreeSize(*tree),
-        [tree, deliver = std::move(deliver)] { deliver(tree); });
+        from, to, wire::Payload(wire::EncodeTree(*tree)),
+        [tree, deliver = std::move(deliver)](const wire::Payload&) {
+          deliver(tree);
+        });
     return;
   }
   // §3.2: "all evaluations of send expression trees are implicitly
@@ -269,9 +270,9 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
       DeployExpr(ctx, Expr::Doc(member->name, member->peer), emit);
     };
     if (sys_->catalog() != nullptr) {
-      sys_->catalog()->Lookup(ResourceKind::kDocument, class_name, ctx,
-                              &sys_->network(),
-                              [proceed](const LookupResult&) { proceed(); });
+      sys_->catalog()->Lookup(
+          ResourceKind::kDocument, class_name, ctx, &sys_->network(),
+          [proceed](const std::vector<PeerId>&) { proceed(); });
     } else {
       sys_->loop().Post(proceed);
     }
@@ -604,9 +605,9 @@ void Evaluator::DeployCall(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                  emit);
     };
     if (sys_->catalog() != nullptr) {
-      sys_->catalog()->Lookup(ResourceKind::kService, class_name, ctx,
-                              &sys_->network(),
-                              [proceed](const LookupResult&) { proceed(); });
+      sys_->catalog()->Lookup(
+          ResourceKind::kService, class_name, ctx, &sys_->network(),
+          [proceed](const std::vector<PeerId>&) { proceed(); });
     } else {
       sys_->loop().Post(proceed);
     }

@@ -1,10 +1,11 @@
 #include "net/catalog.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace axml {
 
@@ -32,6 +33,13 @@ uint64_t HashKey(const std::string& s) {
 
 // Clockwise ring distance from `a` to `b` (unsigned wraparound).
 uint64_t RingDist(uint64_t a, uint64_t b) { return b - a; }
+
+// Decodes a catalog message this module encoded.
+wire::CatalogMessage DecodeOwn(const wire::Payload& p) {
+  Result<wire::CatalogMessage> m = wire::DecodeCatalog(p);
+  AXML_CHECK(m.ok()) << m.status().ToString();
+  return std::move(*m);
+}
 
 }  // namespace
 
@@ -75,15 +83,10 @@ void CatalogBackend::Unregister(ResourceKind kind, const std::string& name,
   OnAdvertiseDelta(kind, name, holder, /*add=*/false);
 }
 
-void CatalogBackend::OnAdvertiseDelta(ResourceKind kind,
-                                      const std::string& name, PeerId holder,
-                                      bool add) {
+void CatalogBackend::OnAdvertiseDelta(ResourceKind, const std::string&,
+                                      PeerId, bool) {
   // Default: the delta happened but cost nothing on the wire (the seed's
   // "registration is charged lazily on lookup" model).
-  (void)kind;
-  (void)name;
-  (void)holder;
-  (void)add;
   RecordAdvertise(0, 0, 1);
 }
 
@@ -140,47 +143,68 @@ void CatalogBackend::ResetStats() {
   node_load_.clear();
 }
 
+wire::Payload CatalogBackend::EncodeLookup(ResourceKind kind,
+                                           const std::string& name) {
+  wire::CatalogMessage m;
+  m.key = {kind == ResourceKind::kService, name};
+  return wire::EncodeCatalog(m);
+}
+
+wire::Payload CatalogBackend::AnswerTo(const wire::Payload& request,
+                                       std::optional<PeerId> node) const {
+  wire::CatalogMessage m = DecodeOwn(request);
+  m.op = wire::CatalogMessage::Op::kAnswer;
+  const ResourceKind kind =
+      m.key.service ? ResourceKind::kService : ResourceKind::kDocument;
+  if (const auto* h = Holders(kind, m.key.name)) {
+    for (PeerId p : *h) {
+      if (!node.has_value() || p == *node) m.holders.push_back(p.index());
+    }
+  }
+  return wire::EncodeCatalog(m);
+}
+
+std::vector<PeerId> CatalogBackend::HoldersIn(const wire::Payload& answer) {
+  const wire::CatalogMessage m = DecodeOwn(answer);
+  AXML_DCHECK(m.op == wire::CatalogMessage::Op::kAnswer);
+  return std::vector<PeerId>(m.holders.begin(), m.holders.end());
+}
+
+void CatalogBackend::SendLookup(Network* net, PeerId from, PeerId to,
+                                wire::Payload request, wire::Payload response,
+                                Network::PayloadDeliverFn on_done,
+                                Network::DeliverFn on_abandon) {
+  stats_.lookup_messages += response.empty() ? 1 : 2;
+  stats_.lookup_bytes += request.size() + response.size();
+  net->ControlRoundtrip(from, to, std::move(request), std::move(response),
+                        std::move(on_done), std::move(on_abandon));
+}
+
 void CatalogBackend::Answer(Network* net, PeerId from, PeerId to,
-                            uint64_t messages, uint64_t bytes, SimTime delay,
-                            const LookupResult& r, LookupCallback cb) {
-  // Exactly one of the two closures runs; they share one copy.
-  using Pending = std::pair<LookupResult, LookupCallback>;
-  auto answer = std::make_shared<Pending>(r, std::move(cb));
-  net->ControlRoundtrip(
-      from, to, messages, bytes, delay,
-      [answer] { answer->second(answer->first); },
-      [answer] {
-        answer->first.holders.clear();
-        answer->second(answer->first);
-      });
+                            wire::Payload request, wire::Payload response,
+                            LookupCallback cb) {
+  // Exactly one of the two closures runs; they share the callback.
+  auto done = std::make_shared<LookupCallback>(std::move(cb));
+  SendLookup(
+      net, from, to, std::move(request), std::move(response),
+      [done](const wire::Payload& answer) { (*done)(HoldersIn(answer)); },
+      [done] { (*done)({}); });
 }
 
 // --- CentralCatalog ---
 
-LookupResult CentralCatalog::Resolve(ResourceKind kind,
-                                     const std::string& name, PeerId from,
-                                     const Topology& topo) const {
-  LookupResult r;
-  if (const auto* h = Holders(kind, name)) r.holders = *h;
-  // Request to the server + response back.
-  r.delay_s = topo.Get(from, server_).TransferTime(kCatalogMsgBytes) +
-              topo.Get(server_, from).TransferTime(kCatalogMsgBytes);
-  r.messages = 2;
-  r.bytes = 2 * kCatalogMsgBytes;
-  return r;
-}
-
 void CentralCatalog::Lookup(ResourceKind kind, const std::string& name,
                             PeerId from, Network* net, LookupCallback cb) {
-  LookupResult r = Resolve(kind, name, from, net->topology());
-  RecordLookup(r.messages, r.bytes);
+  ++stats_.lookups;
   // The server handles the request; the requester receiving its own
   // response is not load.
   AddNodeLoad(server_);
+  wire::Payload request = EncodeLookup(kind, name);
+  wire::Payload answer = AnswerTo(request);
   // The exchange is anchored on the requester->server link, so it queues
   // behind (and is judged with) that link's data traffic. A down server
   // answers nothing: the lookup ends with no holders.
-  Answer(net, from, server_, r.messages, r.bytes, r.delay_s, r,
+  Answer(net, from, server_, std::move(request), std::move(answer),
          std::move(cb));
 }
 
@@ -188,10 +212,6 @@ void CentralCatalog::Lookup(ResourceKind kind, const std::string& name,
 
 uint64_t ChordDhtCatalog::PeerPoint(uint32_t index) {
   return Mix64(static_cast<uint64_t>(index) + 1);
-}
-
-uint64_t ChordDhtCatalog::KeyPoint(const std::string& map_key) {
-  return HashKey(map_key);
 }
 
 void ChordDhtCatalog::EnsureRing() const {
@@ -255,14 +275,10 @@ uint32_t ChordDhtCatalog::NextHop(uint32_t cur, uint32_t responsible) const {
 void ChordDhtCatalog::Lookup(ResourceKind kind, const std::string& name,
                              PeerId from, Network* net, LookupCallback cb) {
   ++stats_.lookups;
-  auto walk = std::make_shared<Walk>();
-  walk->kind = kind;
-  walk->name = name;
-  walk->target = KeyPoint(MapKey(kind, name));
-  walk->from = from;
-  walk->net = net;
-  walk->cb = std::move(cb);
-  Step(walk, from);
+  Step(std::make_shared<Walk>(Walk{EncodeLookup(kind, name),
+                                   HashKey(MapKey(kind, name)), from, net,
+                                   std::move(cb)}),
+       from);
 }
 
 void ChordDhtCatalog::Step(const std::shared_ptr<Walk>& walk, PeerId cur) {
@@ -273,26 +289,9 @@ void ChordDhtCatalog::Step(const std::shared_ptr<Walk>& walk, PeerId cur) {
   const uint32_t responsible =
       ring_.empty() ? cur.index() : SuccessorOf(walk->target);
   if (cur.index() == responsible) {
-    LookupResult r;
-    // Holders snapshot when the request reaches the responsible node.
-    if (const auto* h = Holders(walk->kind, walk->name)) r.holders = *h;
-    if (cur == walk->from) {
-      // The requester owns the entry's arc: a local index read.
-      r.delay_s = walk->delay_s;
-      r.messages = walk->messages;
-      r.bytes = r.messages * kCatalogMsgBytes;
-      Answer(net, cur, cur, 0, 0, 0.0, r, std::move(walk->cb));
-      return;
-    }
-    const double back = net->topology()
-                            .Get(cur, walk->from)
-                            .TransferTime(kCatalogMsgBytes);
-    r.delay_s = walk->delay_s + back;
-    r.messages = walk->messages + 1;
-    r.bytes = r.messages * kCatalogMsgBytes;
-    stats_.lookup_messages += 1;
-    stats_.lookup_bytes += kCatalogMsgBytes;
-    Answer(net, cur, walk->from, 1, kCatalogMsgBytes, back, r,
+    // The responsible node answers the requester directly from its index
+    // (over loopback when the requester owns the entry's arc).
+    Answer(net, cur, walk->from, AnswerTo(walk->request), wire::Payload(),
            std::move(walk->cb));
     return;
   }
@@ -301,19 +300,13 @@ void ChordDhtCatalog::Step(const std::shared_ptr<Walk>& walk, PeerId cur) {
   const bool in_ring = cur.is_concrete() && cur.index() < peer_count_;
   const PeerId next(in_ring ? NextHop(cur.index(), responsible)
                             : responsible);
-  // Each hop is a ControlRoundtrip on the actual cur->next link, so it
-  // is priced against that link's traffic, traced, and subject to fault
+  // Each hop carries the request on the actual cur->next link, so it is
+  // priced against that link's traffic, traced, and subject to fault
   // injection; the receiving node's load counter moves when the hop is
   // delivered.
-  const double d =
-      net->topology().Get(cur, next).TransferTime(kCatalogMsgBytes);
-  walk->delay_s += d;
-  ++walk->messages;
-  stats_.lookup_messages += 1;
-  stats_.lookup_bytes += kCatalogMsgBytes;
-  net->ControlRoundtrip(
-      cur, next, 1, kCatalogMsgBytes, d,
-      [this, walk, next] {
+  SendLookup(
+      net, cur, next, walk->request, wire::Payload(),
+      [this, walk, next](const wire::Payload&) {
         AddNodeLoad(next);
         Step(walk, next);
       },
@@ -326,18 +319,13 @@ void ChordDhtCatalog::Step(const std::shared_ptr<Walk>& walk, PeerId cur) {
           Step(walk, cur);
           return;
         }
-        LookupResult lost;
-        lost.delay_s = walk->delay_s;
-        lost.messages = walk->messages;
-        lost.bytes = lost.messages * kCatalogMsgBytes;
-        walk->cb(lost);
+        walk->cb({});
       });
 }
 
 void ChordDhtCatalog::OnAdvertiseDelta(ResourceKind kind,
                                        const std::string& name, PeerId holder,
                                        bool add) {
-  (void)add;
   if (net_ == nullptr || !holder.is_concrete()) {
     // Standalone (no network attached): free, like the seed.
     RecordAdvertise(0, 0, 1);
@@ -348,12 +336,15 @@ void ChordDhtCatalog::OnAdvertiseDelta(ResourceKind kind,
     RecordAdvertise(0, 0, 1);
     return;
   }
-  const uint32_t responsible = SuccessorOf(KeyPoint(MapKey(kind, name)));
+  const uint32_t responsible = SuccessorOf(HashKey(MapKey(kind, name)));
+  wire::CatalogMessage::Entry delta{kind == ResourceKind::kService, name,
+                                    add};
   if (in_advertise_batch()) {
-    ++pending_digests_[{holder.index(), responsible}];
+    pending_digests_[{holder.index(), responsible}].push_back(
+        std::move(delta));
     return;
   }
-  SendDigest(holder.index(), responsible, 1);
+  SendDigest(holder.index(), responsible, {std::move(delta)});
 }
 
 void ChordDhtCatalog::FlushAdvertiseBatch() {
@@ -361,92 +352,104 @@ void ChordDhtCatalog::FlushAdvertiseBatch() {
     pending_digests_.clear();
     return;
   }
-  for (const auto& [pair, deltas] : pending_digests_) {
-    SendDigest(pair.first, pair.second, deltas);
+  for (auto& [pair, deltas] : pending_digests_) {
+    SendDigest(pair.first, pair.second, std::move(deltas));
   }
   pending_digests_.clear();
 }
 
-void ChordDhtCatalog::SendDigest(uint32_t holder, uint32_t responsible,
-                                 uint64_t deltas) {
+void ChordDhtCatalog::SendDigest(
+    uint32_t holder, uint32_t responsible,
+    std::vector<wire::CatalogMessage::Entry> deltas) {
   if (holder == responsible) {
     // The holder owns the entry's arc: a local index write.
-    RecordAdvertise(0, 0, deltas);
+    RecordAdvertise(0, 0, deltas.size());
     return;
   }
-  const uint64_t bytes =
-      kCatalogMsgBytes + (deltas - 1) * kCatalogDigestEntryBytes;
-  const PeerId h(holder);
-  const PeerId r(responsible);
-  const double d = net_->topology().Get(h, r).TransferTime(bytes);
-  RecordAdvertise(1, bytes, deltas);
-  AddNodeLoad(r);
-  net_->ControlRoundtrip(h, r, 1, bytes, d, [] {});
+  const wire::CatalogMessage m{wire::CatalogMessage::Op::kDigest, {}, {},
+                                holder, std::move(deltas)};
+  wire::Payload digest = wire::EncodeCatalog(m);
+  RecordAdvertise(1, digest.size(), m.deltas.size());
+  AddNodeLoad(PeerId(responsible));
+  net_->ControlRoundtrip(PeerId(holder), PeerId(responsible),
+                         std::move(digest), wire::Payload(), nullptr);
 }
 
 // --- FloodCatalog ---
 
-LookupResult FloodCatalog::Resolve(ResourceKind kind,
-                                   const std::string& name, PeerId from,
-                                   const Topology& topo) const {
-  LookupResult r;
-  const std::vector<PeerId>* holders = Holders(kind, name);
-  std::unordered_set<PeerId> holder_set;
-  if (holders != nullptr) {
-    holder_set.insert(holders->begin(), holders->end());
-  }
-
-  // BFS over the neighbor graph up to the TTL, counting one message per
-  // edge traversed (the classic Gnutella cost). If no neighbor graph is
-  // declared, fall back to "broadcast to everyone in one hop".
-  if (!topo.has_neighbor_graph()) {
-    uint32_t n = std::max<uint32_t>(peer_count_, 1) - 1;
-    r.messages = n;
-    r.bytes = static_cast<uint64_t>(n) * kCatalogMsgBytes;
-    r.delay_s = topo.default_link().latency_s * 2;
-    if (holders != nullptr) r.holders = *holders;
-    return r;
-  }
-
-  std::unordered_map<PeerId, uint32_t> depth;
-  std::deque<PeerId> frontier{from};
-  depth[from] = 0;
-  uint32_t found_depth = 0;
-  while (!frontier.empty()) {
-    PeerId cur = frontier.front();
-    frontier.pop_front();
-    uint32_t d = depth[cur];
-    if (holder_set.count(cur) && cur != from) {
-      r.holders.push_back(cur);
-      found_depth = std::max(found_depth, d);
-    }
-    if (d >= ttl_) continue;
-    for (PeerId nb : topo.Neighbors(cur)) {
-      ++r.messages;  // the query travels this edge regardless
-      if (!depth.count(nb)) {
-        depth[nb] = d + 1;
-        frontier.push_back(nb);
-      }
-    }
-  }
-  // A holder on `from` itself also answers.
-  if (holder_set.count(from)) r.holders.push_back(from);
-  r.bytes = r.messages * kCatalogMsgBytes;
-  const double hop = topo.default_link().latency_s;
-  // Delay: query floods to found_depth, response unwinds the same path.
-  r.delay_s = 2.0 * hop * std::max<uint32_t>(found_depth, 1);
-  return r;
-}
-
 void FloodCatalog::Lookup(ResourceKind kind, const std::string& name,
                           PeerId from, Network* net, LookupCallback cb) {
-  LookupResult r = Resolve(kind, name, from, net->topology());
   // Flood load diffuses over every visited peer; it is not attributed
   // to node_load (the hot-node comparison is central vs DHT).
-  RecordLookup(r.messages, r.bytes);
-  // Flood traffic diffuses over every edge, so it is anchored on the
-  // requester's loopback rather than any single link.
-  Answer(net, from, from, r.messages, r.bytes, r.delay_s, r, std::move(cb));
+  ++stats_.lookups;
+  auto flood = std::make_shared<Flood>(
+      Flood{EncodeLookup(kind, name), from, net, {from}, {}, 0, std::move(cb)});
+  Reach(flood, from, 0);
+  // A flood that sent nothing still calls back from the loop.
+  if (flood->in_flight == 0) {
+    net->loop()->Post([this, flood] { Settle(flood); });
+  }
+}
+
+void FloodCatalog::Reach(const std::shared_ptr<Flood>& flood, PeerId node,
+                         uint32_t depth) {
+  // The node answers for itself when its own index entry matches the
+  // request: straight back to the requester, or into the result when it
+  // is the requester.
+  wire::Payload answer = AnswerTo(flood->request, node);
+  std::vector<PeerId> own = HoldersIn(answer);
+  if (node == flood->from) {
+    flood->holders.insert(flood->holders.end(), own.begin(), own.end());
+  } else if (!own.empty()) {
+    Forward(flood, node, flood->from, std::move(answer),
+            [flood](const wire::Payload& arrived) {
+              for (PeerId h : HoldersIn(arrived)) flood->holders.push_back(h);
+            });
+  }
+  if (depth >= ttl_) return;
+  for (PeerId nb : Neighbors(flood->net->topology(), node, flood->from)) {
+    // The request travels every edge; only a node's first copy of it is
+    // forwarded further.
+    Forward(flood, node, nb, flood->request,
+            [this, flood, nb, depth](const wire::Payload&) {
+              if (flood->reached.insert(nb).second) {
+                Reach(flood, nb, depth + 1);
+              }
+            });
+  }
+}
+
+void FloodCatalog::Forward(const std::shared_ptr<Flood>& flood, PeerId from,
+                           PeerId to, wire::Payload payload,
+                           Network::PayloadDeliverFn on_arrival) {
+  ++flood->in_flight;
+  auto landed = [this, flood] {
+    --flood->in_flight;
+    Settle(flood);
+  };
+  SendLookup(flood->net, from, to, std::move(payload), wire::Payload(),
+             [landed, on_arrival = std::move(on_arrival)](
+                 const wire::Payload& p) {
+               on_arrival(p);
+               landed();
+             },
+             landed);
+}
+
+void FloodCatalog::Settle(const std::shared_ptr<Flood>& flood) {
+  if (flood->in_flight > 0 || !flood->cb) return;
+  std::exchange(flood->cb, nullptr)(flood->holders);
+}
+
+std::vector<PeerId> FloodCatalog::Neighbors(const Topology& topo,
+                                            PeerId node, PeerId from) const {
+  if (topo.has_neighbor_graph()) return topo.Neighbors(node);
+  // No declared graph: the requester broadcasts to everyone in one hop.
+  std::vector<PeerId> all;
+  for (uint32_t i = 0; node == from && i < peer_count_; ++i) {
+    if (PeerId(i) != from) all.emplace_back(i);
+  }
+  return all;
 }
 
 }  // namespace axml

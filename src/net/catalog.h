@@ -8,28 +8,20 @@
 // CatalogBackend interface makes the structure pluggable; three
 // implementations exist, one per network structure:
 //
-//  - CentralCatalog:  one index server; lookup = RTT to the server plus a
-//                     small request/response payload.
-//  - ChordDhtCatalog: a real Chord-style ring over the peer ids. Lookups
-//                     route hop-by-hop through finger intervals, each hop
-//                     a Network::ControlRoundtrip on the actual link — so
-//                     DHT traffic is priced, traced and fault-injectable
-//                     like every other message. Advertisements route as
-//                     digest messages to the responsible node and batch
-//                     (Begin/EndAdvertiseBatch), so re-advertising an
-//                     unchanged entry is free and bulk installs pay per
-//                     delta, not per call.
-//  - FloodCatalog:    Gnutella-style flooding over the topology's
-//                     neighbor graph with a TTL; cost = one message per
-//                     edge visited, delay = the depth at which the
-//                     resource was first found.
+//  - CentralCatalog:  one index server, one roundtrip per lookup.
+//  - ChordDhtCatalog: a Chord ring routed hop by hop, with batched
+//                     advertisement digests to the responsible node.
+//  - FloodCatalog:    Gnutella-style flooding with a TTL.
 //
-// There is one way to look a resource up: Lookup, which charges
-// control-plane traffic to the Network's stats and answers
-// asynchronously, exactly once. Every backend also
-// feeds CatalogStats — lookup/advertisement message counts plus a
-// per-serving-node load table, the data behind the hot-node share
-// comparison in bench_fleet.
+// Every catalog message is an encoded wire::CatalogMessage (xml/wire.h)
+// sent as a Network::ControlRoundtrip, so it is priced at its encoded
+// size, traced and fault-injectable like every other message: a lookup
+// request carries the key, an answer the key and the holders the
+// serving node indexes, a digest one holder's advertisement deltas. The
+// requester's holders are the ones in the answer it decoded. Lookup
+// answers asynchronously, exactly once; CatalogStats counts messages
+// and bytes, node_load the per-serving-node load behind bench_fleet's
+// hot-node share, and the event loop's clock a lookup's delay.
 
 #ifndef AXML_NET_CATALOG_H_
 #define AXML_NET_CATALOG_H_
@@ -38,8 +30,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -47,23 +41,15 @@
 #include "common/status.h"
 #include "net/network.h"
 #include "obs/metrics.h"
+#include "xml/wire.h"
 
 namespace axml {
 
 /// What kind of resource a catalog entry names.
 enum class ResourceKind { kDocument, kService };
 
-/// Result of a catalog lookup.
-struct LookupResult {
-  /// Peers that advertise the resource (may be empty).
-  std::vector<PeerId> holders;
-  /// Modeled control-plane cost of this lookup.
-  double delay_s = 0;
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-};
-
-/// Aggregate traffic counters one catalog backend has generated.
+/// Aggregate traffic counters one catalog backend has generated, at
+/// each sent message's encoded size (retransmissions are not counted).
 /// `advertise_noops` counts Register calls for already-advertised
 /// entries — the re-advertisements the delta protocol makes free.
 struct CatalogStats {
@@ -84,7 +70,8 @@ struct CatalogStats {
 /// are *routed* and therefore what they cost.
 class CatalogBackend {
  public:
-  using LookupCallback = std::function<void(const LookupResult&)>;
+  /// Receives the peers that advertise the resource (may be empty).
+  using LookupCallback = std::function<void(const std::vector<PeerId>&)>;
 
   virtual ~CatalogBackend() = default;
 
@@ -100,7 +87,7 @@ class CatalogBackend {
   virtual void Unregister(ResourceKind kind, const std::string& name,
                           PeerId holder);
 
-  /// True when `holder` currently advertises `name`. Free (no modeled
+  /// True when `holder` currently advertises `name`. Free (no
   /// traffic): used by tests and the replica layer to check registration
   /// state without a lookup.
   bool IsAdvertised(ResourceKind kind, const std::string& name,
@@ -108,8 +95,9 @@ class CatalogBackend {
   /// Number of peers advertising `name` (free, like IsAdvertised).
   size_t HolderCount(ResourceKind kind, const std::string& name) const;
 
-  /// Resolves `name` from peer `from`: charges traffic on `net` and
-  /// invokes `cb` exactly once — after the lookup's exchanges complete,
+  /// Resolves `name` from peer `from`: sends the lookup's messages on
+  /// `net` and invokes `cb` exactly once — with the holders of the
+  /// answers that reached `from` once the lookup's exchanges complete,
   /// or with no holders when a crashed peer ends the lookup early.
   virtual void Lookup(ResourceKind kind, const std::string& name,
                       PeerId from, Network* net, LookupCallback cb) = 0;
@@ -122,19 +110,16 @@ class CatalogBackend {
     OnPeerCountChanged();
   }
 
-  /// Wires the system's Network in so backends can charge real
-  /// advertisement traffic. Left null (the default, and the standalone /
-  /// bench-model usage), registration stays free as in the seed.
+  /// Wires the system's Network in so backends can send advertisement
+  /// digests. Left null (the default, and the standalone usage),
+  /// registration stays free as in the seed.
   void AttachNetwork(Network* net) { net_ = net; }
 
   /// Marks `peer` crashed (`live` false) or rejoined (`live` true).
   /// AxmlSystem::CrashPeer / RejoinPeer call this right after flipping
   /// the Network's liveness gate. Routed backends (Chord) steer lookups
-  /// and digests around down peers; analytic backends ignore it.
-  virtual void SetPeerLive(PeerId peer, bool live) {
-    (void)peer;
-    (void)live;
-  }
+  /// and digests around down peers; the others ignore it.
+  virtual void SetPeerLive(PeerId /*peer*/, bool /*live*/) {}
 
   /// Opens / closes an advertisement batch window. While a window is
   /// open, effective deltas coalesce per (holder, responsible node) and
@@ -173,27 +158,33 @@ class CatalogBackend {
   /// Invoked when set_peer_count changes the value.
   virtual void OnPeerCountChanged() {}
 
-  void RecordLookup(uint64_t messages, uint64_t bytes) {
-    ++stats_.lookups;
-    stats_.lookup_messages += messages;
-    stats_.lookup_bytes += bytes;
-  }
   void RecordAdvertise(uint64_t messages, uint64_t bytes, uint64_t deltas) {
     stats_.advertise_messages += messages;
     stats_.advertise_bytes += bytes;
     stats_.advertise_deltas += deltas;
   }
-  void AddNodeLoad(PeerId node, uint64_t messages = 1) {
-    node_load_[node.index()] += messages;
-  }
+  void AddNodeLoad(PeerId node) { ++node_load_[node.index()]; }
   bool in_advertise_batch() const { return advertise_batch_depth_ > 0; }
 
-  /// Sends a lookup's answering exchange from -> to and calls `cb`
-  /// exactly once: with `r` when it completes, with `r` minus its
-  /// holders when the exchange is abandoned (an endpoint crashed).
-  static void Answer(Network* net, PeerId from, PeerId to,
-                     uint64_t messages, uint64_t bytes, SimTime delay,
-                     const LookupResult& r, LookupCallback cb);
+  static wire::Payload EncodeLookup(ResourceKind kind,
+                                    const std::string& name);
+  /// The answer a node serving `request` sends back: the request's key
+  /// plus every holder the index lists under it, or only `node` itself
+  /// when a node answers for itself (flooding).
+  wire::Payload AnswerTo(const wire::Payload& request,
+                         std::optional<PeerId> node = std::nullopt) const;
+  static std::vector<PeerId> HoldersIn(const wire::Payload& answer);
+  /// Sends one lookup exchange (Network::ControlRoundtrip), counted in
+  /// lookup_messages/bytes.
+  void SendLookup(Network* net, PeerId from, PeerId to,
+                  wire::Payload request, wire::Payload response,
+                  Network::PayloadDeliverFn on_done,
+                  Network::DeliverFn on_abandon);
+  /// Sends a lookup's answering exchange and calls `cb` exactly once:
+  /// with the holders of the answer that arrived, or with none when the
+  /// exchange is abandoned (an endpoint crashed).
+  void Answer(Network* net, PeerId from, PeerId to, wire::Payload request,
+              wire::Payload response, LookupCallback cb);
 
   const std::vector<PeerId>* Holders(ResourceKind kind,
                                      const std::string& name) const;
@@ -227,10 +218,6 @@ class CentralCatalog : public CatalogBackend {
   PeerId server() const { return server_; }
 
  private:
-  /// Holders plus the priced request/response round trip to the server.
-  LookupResult Resolve(ResourceKind kind, const std::string& name,
-                       PeerId from, const Topology& topo) const;
-
   PeerId server_;
 };
 
@@ -256,8 +243,6 @@ class CentralCatalog : public CatalogBackend {
 /// resolution; no explicit finger tables exist to fix up.
 class ChordDhtCatalog : public CatalogBackend {
  public:
-  ChordDhtCatalog() = default;
-
   const char* backend_name() const override { return "chord-dht"; }
   void Lookup(ResourceKind kind, const std::string& name, PeerId from,
               Network* net, LookupCallback cb) override;
@@ -273,8 +258,6 @@ class ChordDhtCatalog : public CatalogBackend {
   void EnsureRing() const;
   /// Ring position of peer `index` (a splitmix64 point, deterministic).
   static uint64_t PeerPoint(uint32_t index);
-  /// Ring position of an entry key.
-  static uint64_t KeyPoint(const std::string& map_key);
   /// True unless the peer is marked down via SetPeerLive.
   bool IsLive(uint32_t index) const { return down_.count(index) == 0; }
   /// The first *live* peer at or clockwise of `point` (a crashed
@@ -282,22 +265,20 @@ class ChordDhtCatalog : public CatalogBackend {
   uint32_t SuccessorOf(uint64_t point) const;
   /// Next routing hop from `cur` toward `responsible`.
   uint32_t NextHop(uint32_t cur, uint32_t responsible) const;
-  /// One lookup in flight: where it is headed and what it has cost.
+  /// One lookup in flight, carrying its request (encoded once).
   struct Walk {
-    ResourceKind kind = ResourceKind::kDocument;
-    std::string name;
+    wire::Payload request;
     uint64_t target = 0;
     PeerId from;
     Network* net = nullptr;
-    double delay_s = 0;
-    uint64_t messages = 0;
     LookupCallback cb;
   };
   /// Advances `walk`, now at `cur`: answers the requester when `cur` is
   /// responsible, otherwise sends the next hop.
   void Step(const std::shared_ptr<Walk>& walk, PeerId cur);
-  /// One digest message holder -> responsible covering `deltas` entries.
-  void SendDigest(uint32_t holder, uint32_t responsible, uint64_t deltas);
+  /// One digest message holder -> responsible carrying `deltas`.
+  void SendDigest(uint32_t holder, uint32_t responsible,
+                  std::vector<wire::CatalogMessage::Entry> deltas);
 
   /// (point, peer index), sorted by point; rebuilt lazily.
   mutable std::vector<std::pair<uint64_t, uint32_t>> ring_;
@@ -306,10 +287,17 @@ class ChordDhtCatalog : public CatalogBackend {
   std::set<uint32_t> down_;
   /// Deltas pending in the open batch window, coalesced per
   /// (holder, responsible) pair.
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> pending_digests_;
+  std::map<std::pair<uint32_t, uint32_t>,
+           std::vector<wire::CatalogMessage::Entry>>
+      pending_digests_;
 };
 
-/// Unstructured flooding over the topology's neighbor graph.
+/// Unstructured flooding over the topology's neighbor graph (with no
+/// graph, the requester broadcasts to every peer in one hop). A node
+/// forwards its first copy of the request on each of its edges while
+/// its depth is below the TTL; a holder answers the requester directly.
+/// The lookup calls back once every message of the flood has landed or
+/// been abandoned.
 class FloodCatalog : public CatalogBackend {
  public:
   explicit FloodCatalog(uint32_t ttl = 7) : ttl_(ttl) {}
@@ -319,17 +307,29 @@ class FloodCatalog : public CatalogBackend {
               Network* net, LookupCallback cb) override;
 
  private:
-  /// Holders within the TTL plus the flood's message count and delay.
-  LookupResult Resolve(ResourceKind kind, const std::string& name,
-                       PeerId from, const Topology& topo) const;
+  /// One lookup in flight.
+  struct Flood {
+    wire::Payload request;
+    PeerId from;
+    Network* net = nullptr;
+    std::unordered_set<PeerId> reached;  ///< later copies not forwarded
+    std::vector<PeerId> holders;         ///< from the answers so far
+    uint64_t in_flight = 0;              ///< messages not landed yet
+    LookupCallback cb;
+  };
+  /// The request reached `node`, `depth` hops from the requester.
+  void Reach(const std::shared_ptr<Flood>& flood, PeerId node,
+             uint32_t depth);
+  /// One message of the flood; `on_arrival` runs when it lands.
+  void Forward(const std::shared_ptr<Flood>& flood, PeerId from, PeerId to,
+               wire::Payload payload, Network::PayloadDeliverFn on_arrival);
+  /// Calls back once nothing of the flood is in flight.
+  void Settle(const std::shared_ptr<Flood>& flood);
+  std::vector<PeerId> Neighbors(const Topology& topo, PeerId node,
+                                PeerId from) const;
 
   uint32_t ttl_;
 };
-
-/// Approximate wire size of a catalog request/response message.
-constexpr uint64_t kCatalogMsgBytes = 64;
-/// Incremental size of one extra entry in an advertisement digest.
-constexpr uint64_t kCatalogDigestEntryBytes = 16;
 
 }  // namespace axml
 

@@ -17,14 +17,10 @@ void NetStats::Record(PeerId from, PeerId to, uint64_t bytes) {
   p.bytes += bytes;
 }
 
-void NetStats::RecordControl(uint64_t messages, uint64_t bytes) {
-  control_messages_ += messages;
+void NetStats::RecordControl(uint64_t bytes) {
+  ++control_messages_;
   control_bytes_ += bytes;
-  // Control roundtrips carry `messages` wire messages averaging
-  // bytes / messages each; feed the shared size histogram at that mean
-  // so catalog and lease traffic shows up next to data messages.
-  const uint64_t per_message = messages == 0 ? bytes : bytes / messages;
-  for (uint64_t i = 0; i < messages; ++i) msg_bytes_.Add(per_message);
+  msg_bytes_.Add(bytes);
 }
 
 void NetStats::RecordPayload(wire::MessageClass cls, uint64_t bytes) {
@@ -35,12 +31,6 @@ void NetStats::RecordPayload(wire::MessageClass cls, uint64_t bytes) {
 void NetStats::RecordDrop(uint64_t bytes) {
   ++dropped_messages_;
   dropped_bytes_ += bytes;
-}
-
-void NetStats::RecordNotify(PeerId from, PeerId to, uint64_t bytes) {
-  Record(from, to, bytes);
-  ++notify_messages_;
-  notify_bytes_ += bytes;
 }
 
 // Wholesale reassignment so coverage is total by construction: every
@@ -56,8 +46,8 @@ void NetStats::ExportMetrics(MetricSink& sink) const {
   sink.Value("remote_bytes", remote_bytes_);
   sink.Value("control_messages", control_messages_);
   sink.Value("control_bytes", control_bytes_);
-  sink.Value("notify_messages", notify_messages_);
-  sink.Value("notify_bytes", notify_bytes_);
+  sink.Value("notify_messages", notify_messages());
+  sink.Value("notify_bytes", notify_bytes());
   sink.Value("dropped_messages", dropped_messages_);
   sink.Value("dropped_bytes", dropped_bytes_);
   for (size_t i = 0; i < wire::kMessageClassCount; ++i) {
@@ -80,8 +70,8 @@ std::string NetStats::ToString() const {
                 " remote_bytes=", remote_bytes_,
                 " control_messages=", control_messages_,
                 " control_bytes=", control_bytes_,
-                " notify_messages=", notify_messages_,
-                " notify_bytes=", notify_bytes_,
+                " notify_messages=", notify_messages(),
+                " notify_bytes=", notify_bytes(),
                 " dropped_messages=", dropped_messages_,
                 " dropped_bytes=", dropped_bytes_);
 }

@@ -27,21 +27,17 @@ struct PairStats {
 class NetStats {
  public:
   void Record(PeerId from, PeerId to, uint64_t bytes);
-  /// Charges control traffic (catalog lookups, lease/anti-entropy
-  /// digests). The aggregate counters take the whole roundtrip; the
-  /// per-message sizes (bytes / messages) feed the shared msg-size
-  /// histogram so control traffic is no longer invisible in obs.
-  void RecordControl(uint64_t messages, uint64_t bytes);
+  /// Charges one control message (a catalog lookup, answer or
+  /// advertisement digest; one leg of an anti-entropy exchange) of
+  /// `bytes`. It feeds the shared message-size histogram at its own
+  /// size.
+  void RecordControl(uint64_t bytes);
   /// Records a message the fabric dropped — fault injection, a crashed
   /// endpoint — after it was charged as sent.
   void RecordDrop(uint64_t bytes);
-  /// Records a replica-invalidation notification (origin -> copy
-  /// holder): counted like any link message *and* tallied apart, so the
-  /// push-refresh benches can report notify traffic next to data bytes.
-  void RecordNotify(PeerId from, PeerId to, uint64_t bytes);
   /// Tallies one encoded payload against its message class — the
-  /// per-class half of the accounting; the link half is Record /
-  /// RecordNotify as before. Every payload-carrying send records both.
+  /// per-class half of the accounting; the link half is Record (or
+  /// RecordControl). Every send records both.
   void RecordPayload(wire::MessageClass cls, uint64_t bytes);
   void Reset();
 
@@ -49,8 +45,13 @@ class NetStats {
   uint64_t total_bytes() const { return total_bytes_; }
   uint64_t control_messages() const { return control_messages_; }
   uint64_t control_bytes() const { return control_bytes_; }
-  uint64_t notify_messages() const { return notify_messages_; }
-  uint64_t notify_bytes() const { return notify_bytes_; }
+  /// Invalidation notifies (the kNotify class), for push-refresh benches.
+  uint64_t notify_messages() const {
+    return class_messages(wire::MessageClass::kNotify);
+  }
+  uint64_t notify_bytes() const {
+    return class_bytes(wire::MessageClass::kNotify);
+  }
   /// Bytes that actually crossed between distinct peers (loopback
   /// excluded).
   uint64_t remote_bytes() const { return remote_bytes_; }
@@ -60,8 +61,8 @@ class NetStats {
   uint64_t dropped_messages() const { return dropped_messages_; }
   uint64_t dropped_bytes() const { return dropped_bytes_; }
   /// Encoded messages/bytes by wire message class (kTree, kShipment,
-  /// kNotify, ...). Only payload-carrying sends are classed; modeled
-  /// byte-count traffic (analytic catalog backends) is not.
+  /// kNotify, ...). Every send carries a payload, so every first
+  /// attempt is classed; retransmissions are not.
   uint64_t class_messages(wire::MessageClass cls) const {
     return class_messages_[static_cast<size_t>(cls)];
   }
@@ -71,9 +72,8 @@ class NetStats {
 
   PairStats Pair(PeerId from, PeerId to) const;
 
-  /// Distribution of per-message sizes (log2 buckets; Record,
-  /// RecordNotify and RecordControl all feed it — control roundtrips at
-  /// their mean per-message size).
+  /// Distribution of per-message sizes (log2 buckets; Record and
+  /// RecordControl both feed it, each message at its own size).
   const Histogram& message_bytes_histogram() const { return msg_bytes_; }
 
   /// Emits every counter (and the size histogram) into `sink` under its
@@ -100,8 +100,6 @@ class NetStats {
   uint64_t remote_bytes_ = 0;
   uint64_t control_messages_ = 0;
   uint64_t control_bytes_ = 0;
-  uint64_t notify_messages_ = 0;
-  uint64_t notify_bytes_ = 0;
   uint64_t dropped_messages_ = 0;
   uint64_t dropped_bytes_ = 0;
   uint64_t class_messages_[wire::kMessageClassCount] = {};

@@ -26,72 +26,61 @@ Network::DeliverFn CarryPayload(std::shared_ptr<const wire::Payload> p,
 }
 }  // namespace
 
-void Network::Send(PeerId from, PeerId to, uint64_t bytes,
-                   DeliverFn on_deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+std::shared_ptr<const wire::Payload> Network::Admit(PeerId from, PeerId to,
+                                                    wire::Payload payload) {
   AXML_CHECK(from.is_concrete());
   AXML_CHECK(to.is_concrete());
-  stats_.Record(from, to, bytes);
-  ScheduleDelivery(from, to, bytes, std::move(on_deliver), "msg");
-}
-
-void Network::SendReliable(PeerId from, PeerId to, uint64_t bytes,
-                           DeliverFn on_deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  AXML_CHECK(from.is_concrete());
-  AXML_CHECK(to.is_concrete());
-  stats_.Record(from, to, bytes);
-  Retry(from, to, bytes, /*delay=*/0, /*control=*/false,
-        std::move(on_deliver), /*on_abandon=*/nullptr);
+  stats_.RecordPayload(payload.message_class(), payload.size());
+  return std::make_shared<const wire::Payload>(std::move(payload));
 }
 
 void Network::Send(PeerId from, PeerId to, wire::Payload payload,
                    PayloadDeliverFn on_deliver) {
+  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   // The boundary contract: what is priced is what is carried. The byte
   // count handed to the link accounting below IS payload.size(); no
   // other size exists on this path.
-  auto p = std::make_shared<const wire::Payload>(std::move(payload));
+  auto p = Admit(from, to, std::move(payload));
   const uint64_t bytes = p->size();
-  stats_.RecordPayload(p->message_class(), bytes);
-  Send(from, to, bytes, CarryPayload(std::move(p), std::move(on_deliver)));
-}
-
-void Network::SendNotify(PeerId from, PeerId to, wire::Payload payload,
-                         PayloadDeliverFn on_deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  AXML_CHECK(from.is_concrete());
-  AXML_CHECK(to.is_concrete());
-  auto p = std::make_shared<const wire::Payload>(std::move(payload));
-  const uint64_t bytes = p->size();
-  AXML_DCHECK(p->message_class() == wire::MessageClass::kNotify);
-  stats_.RecordPayload(p->message_class(), bytes);
-  // Tallied as replica-invalidation notify traffic
-  // (NetStats::notify_messages/bytes) on top of the link accounting.
-  stats_.RecordNotify(from, to, bytes);
+  const bool notify = p->message_class() == wire::MessageClass::kNotify;
+  stats_.Record(from, to, bytes);
   ScheduleDelivery(from, to, bytes,
                    CarryPayload(std::move(p), std::move(on_deliver)),
-                   "notify");
+                   notify ? "notify" : "msg");
 }
 
 void Network::SendReliable(PeerId from, PeerId to, wire::Payload payload,
                            PayloadDeliverFn on_deliver) {
-  auto p = std::make_shared<const wire::Payload>(std::move(payload));
+  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+  auto p = Admit(from, to, std::move(payload));
   const uint64_t bytes = p->size();
-  stats_.RecordPayload(p->message_class(), bytes);
-  SendReliable(from, to, bytes,
-               CarryPayload(std::move(p), std::move(on_deliver)));
+  Retry(from, to, bytes, /*response_bytes=*/0, /*delay=*/0,
+        /*control=*/false, CarryPayload(std::move(p), std::move(on_deliver)),
+        /*on_abandon=*/nullptr);
 }
 
-void Network::ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
-                               wire::Payload payload,
-                               uint64_t response_bytes, SimTime delay,
-                               DeliverFn on_done) {
-  const uint64_t bytes = payload.size() + response_bytes;
-  stats_.RecordPayload(payload.message_class(), payload.size());
-  ControlRoundtrip(from, to, messages, bytes, delay, std::move(on_done));
+void Network::ControlRoundtrip(PeerId from, PeerId to, wire::Payload request,
+                               wire::Payload response,
+                               PayloadDeliverFn on_done,
+                               DeliverFn on_abandon) {
+  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+  const uint64_t request_bytes = request.size();
+  const uint64_t response_bytes = response.size();
+  const bool one_way = response.empty();
+  // The exchange takes at least each leg's one-way transfer time, so a
+  // control message waits out its latency even when its transmit is
+  // negligible.
+  const SimTime delay =
+      EstimateTransferTime(from, to, request_bytes) +
+      (one_way ? 0 : EstimateTransferTime(to, from, response_bytes));
+  auto last = Admit(from, to, std::move(request));
+  if (!one_way) last = Admit(to, from, std::move(response));
+  Retry(from, to, request_bytes + response_bytes, response_bytes, delay,
+        /*control=*/true, CarryPayload(std::move(last), std::move(on_done)),
+        std::move(on_abandon));
 }
 
-bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
+void Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
                                DeliverFn on_deliver, const char* kind,
                                SimTime min_delay, DeliverFn on_drop) {
   if (!IsPeerUp(from)) {
@@ -99,7 +88,7 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
     // wire (no link occupancy, no trace span).
     stats_.RecordDrop(bytes);
     if (on_drop) loop_->ScheduleAt(loop_->now(), std::move(on_drop));
-    return false;
+    return;
   }
 
   const LinkParams link = topology_.Get(from, to);
@@ -129,7 +118,7 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
       if (tracer_ != nullptr) on_drop = tracer_->Bind(std::move(on_drop));
       loop_->ScheduleAt(arrival, std::move(on_drop));
     }
-    return true;
+    return;
   }
 
   if (tracer_ != nullptr) {
@@ -156,23 +145,19 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
         }
         cb();
       });
-  return true;
 }
 
-void Network::ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
-                               uint64_t bytes, SimTime delay,
-                               DeliverFn on_done, DeliverFn on_abandon) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  AXML_CHECK(from.is_concrete());
-  AXML_CHECK(to.is_concrete());
-  stats_.RecordControl(messages, bytes);
-  Retry(from, to, bytes, delay, /*control=*/true, std::move(on_done),
-        std::move(on_abandon));
-}
-
-void Network::Retry(PeerId from, PeerId to, uint64_t bytes, SimTime delay,
-                    bool control, DeliverFn on_deliver,
-                    DeliverFn on_abandon) {
+void Network::Retry(PeerId from, PeerId to, uint64_t bytes,
+                    uint64_t response_bytes, SimTime delay, bool control,
+                    DeliverFn on_deliver, DeliverFn on_abandon) {
+  // Every attempt is real traffic: a data message, or a control
+  // exchange's legs, each at its own size.
+  if (!control) {
+    stats_.Record(from, to, bytes);
+  } else {
+    stats_.RecordControl(bytes - response_bytes);
+    if (response_bytes > 0) stats_.RecordControl(response_bytes);
+  }
   // The one give-up rule, checked when the drop is noticed and again
   // when the retry would fire: a send with a crashed endpoint stops.
   auto gave_up = [this, from, to](const DeliverFn& abandon) {
@@ -186,8 +171,8 @@ void Network::Retry(PeerId from, PeerId to, uint64_t bytes, SimTime delay,
   // sender notices the missing ack); a control roundtrip re-asks after
   // its own delay. A drop fires at most once, so its closure hands the
   // callbacks on by move.
-  DeliverFn on_drop = [this, from, to, bytes, delay, control, gave_up,
-                       on_deliver, on_abandon]() mutable {
+  DeliverFn on_drop = [this, from, to, bytes, response_bytes, delay, control,
+                       gave_up, on_deliver, on_abandon]() mutable {
     AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     if (gave_up(on_abandon)) return;
     const LinkParams link = topology_.Get(from, to);
@@ -197,19 +182,13 @@ void Network::Retry(PeerId from, PeerId to, uint64_t bytes, SimTime delay,
                       static_cast<double>(bytes) / link.bandwidth_bps,
         kMinRetryDelay);
     loop_->ScheduleAfter(
-        backoff, [this, from, to, bytes, delay, control, gave_up,
-                  on_deliver = std::move(on_deliver),
+        backoff, [this, from, to, bytes, response_bytes, delay, control,
+                  gave_up, on_deliver = std::move(on_deliver),
                   on_abandon = std::move(on_abandon)]() mutable {
           AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
           if (gave_up(on_abandon)) return;
-          // The retry is real traffic.
-          if (control) {
-            stats_.RecordControl(1, bytes);
-          } else {
-            stats_.Record(from, to, bytes);
-          }
-          Retry(from, to, bytes, delay, control, std::move(on_deliver),
-                std::move(on_abandon));
+          Retry(from, to, bytes, response_bytes, delay, control,
+                std::move(on_deliver), std::move(on_abandon));
         });
   };
   ScheduleDelivery(from, to, bytes, std::move(on_deliver),

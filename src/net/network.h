@@ -2,14 +2,16 @@
 // latency + bandwidth delays, FIFO per directed link, full accounting.
 //
 // Substitution note (DESIGN.md): the paper's SOAP/WSDL transport is
-// replaced by this simulator; the byte size charged for each message is
-// the actual serialized XML size of what AXML would put on the wire.
+// replaced by this simulator. Every send carries an encoded
+// wire::Payload (xml/wire.h), data and control alike, and the byte size
+// charged for each message is that payload's size.
 
 #ifndef AXML_NET_NETWORK_H_
 #define AXML_NET_NETWORK_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -44,33 +46,15 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Sends `bytes` from `from` to `to`; `on_deliver` runs at the arrival
-  /// time. Messages on the same directed link are serialized FIFO: a
-  /// message starts transmitting only after the previous one finished
-  /// (propagation overlaps, as on a real pipe).
-  void Send(PeerId from, PeerId to, uint64_t bytes, DeliverFn on_deliver);
-
-  /// The payload-carrying sends: the priced size IS `payload.size()` —
-  /// there is no separately estimated byte count to drift from the
-  /// content. Each also tallies the payload's message class
-  /// (NetStats::class_messages/class_bytes). The byte-count overloads
-  /// above remain for *modeled* traffic (analytic catalog backends,
-  /// closed-form benches) that never materializes bytes.
+  /// Sends `payload` from `from` to `to`; `on_deliver` receives it at
+  /// the arrival time. The priced size IS `payload.size()`, the only
+  /// size a send knows. Messages on the same directed link are
+  /// serialized FIFO: a message starts transmitting only after the
+  /// previous one finished (propagation overlaps, as on a real pipe).
+  /// Every send also tallies the payload's message class (NetStats::
+  /// class_messages/bytes; a kNotify payload gets a "notify" span).
   void Send(PeerId from, PeerId to, wire::Payload payload,
             PayloadDeliverFn on_deliver);
-  /// Like Send, but also tallied as replica-invalidation notify traffic
-  /// (NetStats::notify_messages/bytes).
-  void SendNotify(PeerId from, PeerId to, wire::Payload payload,
-                  PayloadDeliverFn on_deliver);
-  void SendReliable(PeerId from, PeerId to, wire::Payload payload,
-                    PayloadDeliverFn on_deliver);
-  /// Control roundtrip whose request is a real encoded payload (lease
-  /// renewals, anti-entropy digests): `messages` messages totalling
-  /// `payload.size() + response_bytes` (the modeled response leg).
-  void ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
-                        wire::Payload payload, uint64_t response_bytes,
-                        SimTime delay, DeliverFn on_done);
-
   /// Like Send, but retransmits deterministically (after a fixed
   /// retransmission timeout of about one RTT) whenever the fabric drops
   /// the message, so the payload eventually lands under lossy-link or
@@ -78,21 +62,20 @@ class Network {
   /// to NetStats like a fresh message. Gives up under the one retry
   /// rule (see Retry). On a perfect fabric this is byte-identical to
   /// Send.
-  void SendReliable(PeerId from, PeerId to, uint64_t bytes,
-                    DeliverFn on_deliver);
+  void SendReliable(PeerId from, PeerId to, wire::Payload payload,
+                    PayloadDeliverFn on_deliver);
 
-  /// Charges control-plane traffic (e.g. catalog lookups, lease and
-  /// anti-entropy digests) as `messages` messages totalling `bytes`,
-  /// and runs `on_done` once the roundtrip completes — at least `delay`
-  /// after the from->to link is free. Routed through the same per-link
-  /// FIFO + fault-injector path as data messages, so control traffic is
-  /// no longer invisible to the size histogram, trace spans, or the
-  /// injector. A dropped roundtrip retries after `delay` (recharging
-  /// one control message per retry) under the one retry rule (see
-  /// Retry); when it gives up, `on_abandon` (if any) runs instead of
-  /// `on_done` — exactly one of the two runs.
-  void ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
-                        uint64_t bytes, SimTime delay, DeliverFn on_done,
+  /// One control-plane exchange (catalog messages, anti-entropy
+  /// digests): `request` goes from -> to and, unless it is empty,
+  /// `response` comes back, each leg one control message of its own
+  /// size. `on_done` receives the response (a one-way exchange's
+  /// request) no sooner than both legs' one-way transfer times, after
+  /// the from->to link is free; the FIFO, injector, histogram and trace
+  /// path is the data messages'. A dropped exchange is asked again that
+  /// delay later and recharged, under the one retry rule (see Retry);
+  /// when it gives up, `on_abandon` (if any) runs instead of `on_done`.
+  void ControlRoundtrip(PeerId from, PeerId to, wire::Payload request,
+                        wire::Payload response, PayloadDeliverFn on_done,
                         DeliverFn on_abandon = nullptr);
 
   /// Attaches a fault injector that rules on every non-loopback message
@@ -127,7 +110,7 @@ class Network {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Lower-bound one-way delay for `bytes` on link from->to (ignoring
-  /// queueing); used by the optimizer's cost model.
+  /// queueing); used by cost estimates and control-exchange floors.
   double EstimateTransferTime(PeerId from, PeerId to,
                               uint64_t bytes) const {
     return topology_.Get(from, to).TransferTime(bytes);
@@ -138,18 +121,22 @@ class Network {
     return (static_cast<uint64_t>(a.index()) << 32) | b.index();
   }
 
-  /// Shared FIFO-link scheduling behind Send/SendNotify/SendReliable/
+  /// Checks the endpoints and tallies `payload`'s message class; returns
+  /// the payload shared, to ride in the delivery closure.
+  std::shared_ptr<const wire::Payload> Admit(PeerId from, PeerId to,
+                                             wire::Payload payload)
+      AXML_REQUIRES(sequence_checker_);
+
+  /// Shared FIFO-link scheduling behind Send/SendReliable/
   /// ControlRoundtrip (aggregate stats already recorded by the caller;
   /// `kind` names the trace span: "msg", "notify" or "control").
   /// Consults the fault injector and the peer up/down set; a dropped
   /// message still occupies the link (it was transmitted, then lost),
   /// is tallied via NetStats::RecordDrop + a "drop" trace span, and
   /// fires `on_drop` (if any) at what would have been the arrival time.
-  /// `min_delay` floors the one-way delay (modelled control roundtrips
-  /// take their full latency even when transmit is negligible).
-  /// Returns false when the message was dropped at send time because
-  /// `from` is down.
-  bool ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
+  /// `min_delay` floors the one-way delay (control exchanges take their
+  /// full latency even when transmit is negligible).
+  void ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
                         DeliverFn on_deliver, const char* kind,
                         SimTime min_delay = 0, DeliverFn on_drop = nullptr)
       AXML_REQUIRES(sequence_checker_);
@@ -157,14 +144,15 @@ class Network {
   /// One attempt of a retried send — SendReliable (`control` false:
   /// a "msg" span, retransmitted one RTO later) or ControlRoundtrip
   /// (`control` true: a "control" span floored at `delay`, re-asked
-  /// `delay` later). The one retry rule: a dropped attempt is sent
-  /// again, recharged as fresh traffic, while both endpoints are up;
-  /// once either is down the send stops and `on_abandon` (if any) runs.
+  /// `delay` later; `response_bytes` of its `bytes` are the response
+  /// leg). The one retry rule: a dropped attempt is sent again,
+  /// recharged as fresh traffic, while both endpoints are up; once
+  /// either is down the send stops and `on_abandon` (if any) runs.
   /// Retrying into a crashed peer would keep the event loop alive
   /// forever.
-  void Retry(PeerId from, PeerId to, uint64_t bytes, SimTime delay,
-             bool control, DeliverFn on_deliver, DeliverFn on_abandon)
-      AXML_REQUIRES(sequence_checker_);
+  void Retry(PeerId from, PeerId to, uint64_t bytes, uint64_t response_bytes,
+             SimTime delay, bool control, DeliverFn on_deliver,
+             DeliverFn on_abandon) AXML_REQUIRES(sequence_checker_);
 
   SequenceChecker sequence_checker_;
   EventLoop* loop_;

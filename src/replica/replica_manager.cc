@@ -692,7 +692,7 @@ void ReplicaManager::SendNotifyMessage(
   // on the perfect fabric (the drop already happened, synchronously), a
   // repair when faults let stale state survive. The priced size is the
   // encoded batch's — one key or fifty, the bytes are what they are.
-  sys_->network().SendNotify(
+  sys_->network().Send(
       origin, holder, wire::EncodeNotifyBatch(batch, WireStatsOf(sys_)),
       [this, origin, holder](const wire::Payload& p) {
         // The carried keys are advisory — the repair rescans the whole
@@ -1469,8 +1469,8 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
   // exchange: one control roundtrip per (holder, origin) pair, carrying
   // a real encoded DigestExchange — per surviving document the entry
   // version + digest and each resident shard digest, priced at the
-  // actual encoded bytes (the response leg is modeled at the same size:
-  // the origin answers digest-for-digest).
+  // actual encoded bytes. The holder's own digest stands in for the
+  // response leg: the origin answers digest-for-digest.
   for (PeerId origin : origins) {
     subscription_stats_.sweep_resubscribes +=
         ResubscribeResident(holder, origin);
@@ -1498,14 +1498,9 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
     }
     wire::Payload payload =
         wire::EncodeDigestExchange(ex, WireStatsOf(sys_));
-    const uint64_t response_bytes = payload.size();
-    const SimTime delay =
-        sys_->network().EstimateTransferTime(holder, origin,
-                                             payload.size()) +
-        sys_->network().EstimateTransferTime(origin, holder,
-                                             response_bytes);
-    sys_->network().ControlRoundtrip(holder, origin, 2, std::move(payload),
-                                     response_bytes, delay, [] {});
+    wire::Payload echo = payload;
+    sys_->network().ControlRoundtrip(holder, origin, std::move(payload),
+                                     std::move(echo), nullptr);
   }
   return repairs;
 }

@@ -257,8 +257,8 @@ class ReplicaManager {
   /// stale state it crashed with.
   void OnPeerRejoin(PeerId peer);
 
-  /// Arrival hook of an invalidation notification (wired as SendNotify's
-  /// delivery callback): drops whatever stale document entries of
+  /// Arrival hook of an invalidation notification (wired as the notify
+  /// Send's delivery callback): drops whatever stale document entries of
   /// `origin` the holder still has. On a perfect fabric this is always
   /// a no-op — PushInvalidate dropped them synchronously at
   /// mutation time — and a notification arriving late (holder already

@@ -1,6 +1,7 @@
 #include "xml/wire.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -33,8 +34,8 @@ const char* MessageClassName(MessageClass c) {
       return "lease";
     case MessageClass::kDigest:
       return "digest";
-    case MessageClass::kControl:
-      return "control";
+    case MessageClass::kCatalog:
+      return "catalog";
     case MessageClass::kQuery:
       return "query";
   }
@@ -81,10 +82,10 @@ void WireStats::ExportMetrics(MetricSink& sink) const {
 }
 
 MessageClass Payload::message_class() const {
-  if (bytes_.size() < 2) return MessageClass::kControl;
+  if (bytes_.size() < kHeaderBytes) return MessageClass::kQuery;
   const uint8_t c = static_cast<uint8_t>(bytes_[1]);
   return c < kMessageClassCount ? static_cast<MessageClass>(c)
-                                : MessageClass::kControl;
+                                : MessageClass::kQuery;
 }
 
 // --- primitives ---
@@ -161,9 +162,9 @@ void AppendHeader(MessageClass c, std::string* out) {
   out->push_back(static_cast<char>(c));
 }
 
-/// Checks the two header bytes and positions `r` at the body. When
-/// `expect` is kControl any class is accepted (generic inspection).
-Status ReadHeader(Reader* r, MessageClass expect) {
+/// Checks the two header bytes and positions `r` at the body. Without
+/// an `expect`ed class any class is accepted (text envelopes).
+Status ReadHeader(Reader* r, std::optional<MessageClass> expect) {
   uint8_t version = 0;
   uint8_t cls = 0;
   if (!r->ReadByte(&version) || !r->ReadByte(&cls)) {
@@ -176,14 +177,53 @@ Status ReadHeader(Reader* r, MessageClass expect) {
                                      static_cast<int>(kWireVersion)));
   }
   if (cls >= kMessageClassCount) return Malformed("unknown message class");
-  if (expect != MessageClass::kControl &&
-      static_cast<MessageClass>(cls) != expect) {
+  if (expect.has_value() && static_cast<MessageClass>(cls) != *expect) {
     return Status::ParseError(
         StrCat("wire: message class ",
                MessageClassName(static_cast<MessageClass>(cls)),
-               ", expected ", MessageClassName(expect)));
+               ", expected ", MessageClassName(*expect)));
   }
   return Status::OK();
+}
+
+/// The one encode path: header, then what `body` appends, stamped into
+/// `stats`.
+template <typename Body>
+std::string EncodeMessage(MessageClass cls, WireStats* stats, Body body) {
+  const uint64_t t0 = TimingNowNs(stats);
+  std::string out;
+  AppendHeader(cls, &out);
+  body(&out);
+  if (stats != nullptr) {
+    stats->RecordEncode(cls, out.size(), TimingNowNs(stats) - t0);
+  }
+  return out;
+}
+
+/// EncodeMessage wrapped as a Payload (all but standalone tree blobs).
+template <typename Body>
+Payload EncodeWire(MessageClass cls, WireStats* stats, Body body) {
+  return Payload(EncodeMessage(cls, stats, std::move(body)));
+}
+
+/// The one decode path: checks the header (any class when `cls` is
+/// empty), lets `body` read the rest into a T, rejects trailing bytes,
+/// and stamps `stats`.
+template <typename T, typename Body>
+Result<T> DecodeMessage(std::string_view bytes,
+                        std::optional<MessageClass> cls, WireStats* stats,
+                        Body body) {
+  const uint64_t t0 = TimingNowNs(stats);
+  Reader r(bytes);
+  T out;
+  Status status = ReadHeader(&r, cls);
+  if (status.ok()) status = body(&r, &out);
+  if (status.ok() && !r.done()) status = Malformed("trailing bytes");
+  if (stats != nullptr) {
+    stats->RecordDecode(bytes.size(), TimingNowNs(stats) - t0, status.ok());
+  }
+  if (!status.ok()) return status;
+  return out;
 }
 
 // --- tree encoding ---
@@ -279,15 +319,9 @@ Result<TreePtr> DecodeTreeBody(Reader* r, NodeIdGen* gen) {
 }  // namespace
 
 std::string EncodeTree(const TreeNode& root, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  std::string out;
-  AppendHeader(MessageClass::kTree, &out);
-  EncodeTreeBody(root, &out);
-  if (stats != nullptr) {
-    stats->RecordEncode(MessageClass::kTree, out.size(),
-                        TimingNowNs(stats) - t0);
-  }
-  return out;
+  return EncodeMessage(MessageClass::kTree, stats, [&](std::string* out) {
+    EncodeTreeBody(root, out);
+  });
 }
 
 uint64_t EncodedTreeSize(const TreeNode& root) {
@@ -296,275 +330,262 @@ uint64_t EncodedTreeSize(const TreeNode& root) {
 
 Result<TreePtr> DecodeTree(std::string_view blob, NodeIdGen* gen,
                            WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  Reader r(blob);
-  Status header = ReadHeader(&r, MessageClass::kTree);
-  Result<TreePtr> result =
-      header.ok() ? DecodeTreeBody(&r, gen) : Result<TreePtr>(header);
-  if (result.ok() && !r.done()) {
-    result = Malformed("trailing bytes after tree");
-  }
-  if (stats != nullptr) {
-    stats->RecordDecode(blob.size(), TimingNowNs(stats) - t0, result.ok());
-  }
-  return result;
+  return DecodeMessage<TreePtr>(
+      blob, MessageClass::kTree, stats, [gen](Reader* r, TreePtr* out) {
+        Result<TreePtr> tree = DecodeTreeBody(r, gen);
+        if (tree.ok()) *out = std::move(tree).value();
+        return tree.status();
+      });
 }
 
-// --- notify batches ---
+// --- protocol messages ---
+
+namespace {
+
+bool ReadVarint32(Reader* r, uint32_t* v) {
+  uint64_t wide = 0;
+  if (!r->ReadVarint(&wide)) return false;
+  *v = static_cast<uint32_t>(wide);
+  return true;
+}
+
+bool ReadString(Reader* r, std::string* s) {
+  std::string_view view;
+  if (!r->ReadLengthPrefixed(&view)) return false;
+  *s = std::string(view);
+  return true;
+}
+
+// A catalog entry is one flags byte (bit 0 service, bit 1 add) and the
+// name.
+void AppendCatalogEntry(const CatalogMessage::Entry& e, std::string* out) {
+  out->push_back(static_cast<char>((e.service ? 1 : 0) | (e.add ? 2 : 0)));
+  AppendLengthPrefixed(e.name, out);
+}
+
+bool ReadCatalogEntry(Reader* r, CatalogMessage::Entry* e) {
+  uint8_t flags = 0;
+  if (!r->ReadByte(&flags) || flags > 3 || !ReadString(r, &e->name)) {
+    return false;
+  }
+  e->service = (flags & 1) != 0;
+  e->add = (flags & 2) != 0;
+  return true;
+}
+
+}  // namespace
 
 Payload EncodeNotifyBatch(const NotifyBatch& batch, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  std::string out;
-  AppendHeader(MessageClass::kNotify, &out);
-  AppendVarint(batch.origin, &out);
-  AppendVarint(batch.keys.size(), &out);
-  for (const NotifyBatch::Key& key : batch.keys) {
-    AppendLengthPrefixed(key.name, &out);
-    AppendLengthPrefixed(key.shard, &out);
-  }
-  if (stats != nullptr) {
-    stats->RecordEncode(MessageClass::kNotify, out.size(),
-                        TimingNowNs(stats) - t0);
-  }
-  return Payload(std::move(out));
+  return EncodeWire(MessageClass::kNotify, stats, [&](std::string* out) {
+    AppendVarint(batch.origin, out);
+    AppendVarint(batch.keys.size(), out);
+    for (const NotifyBatch::Key& key : batch.keys) {
+      AppendLengthPrefixed(key.name, out);
+      AppendLengthPrefixed(key.shard, out);
+    }
+  });
 }
 
 Result<NotifyBatch> DecodeNotifyBatch(const Payload& p, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  auto parse = [&]() -> Result<NotifyBatch> {
-    Reader r(p.bytes());
-    AXML_RETURN_NOT_OK(ReadHeader(&r, MessageClass::kNotify));
-    NotifyBatch batch;
-    uint64_t origin = 0;
-    uint64_t count = 0;
-    if (!r.ReadVarint(&origin) || !r.ReadVarint(&count)) {
-      return Malformed("notify header");
-    }
-    if (count > r.remaining()) return Malformed("notify key count");
-    batch.origin = static_cast<uint32_t>(origin);
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string_view name;
-      std::string_view shard;
-      if (!r.ReadLengthPrefixed(&name) || !r.ReadLengthPrefixed(&shard)) {
-        return Malformed("notify key");
-      }
-      batch.keys.push_back({std::string(name), std::string(shard)});
-    }
-    if (!r.done()) return Malformed("trailing bytes after notify");
-    return batch;
-  };
-  Result<NotifyBatch> result = parse();
-  if (stats != nullptr) {
-    stats->RecordDecode(p.size(), TimingNowNs(stats) - t0, result.ok());
-  }
-  return result;
+  return DecodeMessage<NotifyBatch>(
+      p.bytes(), MessageClass::kNotify, stats,
+      [](Reader* r, NotifyBatch* batch) -> Status {
+        uint64_t count = 0;
+        if (!ReadVarint32(r, &batch->origin) || !r->ReadVarint(&count)) {
+          return Malformed("notify header");
+        }
+        if (count > r->remaining()) return Malformed("notify key count");
+        // Entries grow as they are read: a corrupt count cannot make the
+        // decoder allocate ahead of the bytes.
+        for (uint64_t i = 0; i < count; ++i) {
+          NotifyBatch::Key& key = batch->keys.emplace_back();
+          if (!ReadString(r, &key.name) || !ReadString(r, &key.shard)) {
+            return Malformed("notify key");
+          }
+        }
+        return Status::OK();
+      });
 }
 
-// --- lease renewals ---
-
 Payload EncodeLeaseRenewal(const LeaseRenewal& lease, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  std::string out;
-  AppendHeader(MessageClass::kLease, &out);
-  AppendVarint(lease.holder, &out);
-  AppendVarint(lease.origin, &out);
-  AppendVarint(lease.subscribed_keys, &out);
-  if (stats != nullptr) {
-    stats->RecordEncode(MessageClass::kLease, out.size(),
-                        TimingNowNs(stats) - t0);
-  }
-  return Payload(std::move(out));
+  return EncodeWire(MessageClass::kLease, stats, [&](std::string* out) {
+    AppendVarint(lease.holder, out);
+    AppendVarint(lease.origin, out);
+    AppendVarint(lease.subscribed_keys, out);
+  });
 }
 
 Result<LeaseRenewal> DecodeLeaseRenewal(const Payload& p,
                                         WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  auto parse = [&]() -> Result<LeaseRenewal> {
-    Reader r(p.bytes());
-    AXML_RETURN_NOT_OK(ReadHeader(&r, MessageClass::kLease));
-    uint64_t holder = 0;
-    uint64_t origin = 0;
-    LeaseRenewal lease;
-    if (!r.ReadVarint(&holder) || !r.ReadVarint(&origin) ||
-        !r.ReadVarint(&lease.subscribed_keys)) {
-      return Malformed("lease body");
-    }
-    if (!r.done()) return Malformed("trailing bytes after lease");
-    lease.holder = static_cast<uint32_t>(holder);
-    lease.origin = static_cast<uint32_t>(origin);
-    return lease;
-  };
-  Result<LeaseRenewal> result = parse();
-  if (stats != nullptr) {
-    stats->RecordDecode(p.size(), TimingNowNs(stats) - t0, result.ok());
-  }
-  return result;
+  return DecodeMessage<LeaseRenewal>(
+      p.bytes(), MessageClass::kLease, stats,
+      [](Reader* r, LeaseRenewal* lease) -> Status {
+        if (!ReadVarint32(r, &lease->holder) ||
+            !ReadVarint32(r, &lease->origin) ||
+            !r->ReadVarint(&lease->subscribed_keys)) {
+          return Malformed("lease body");
+        }
+        return Status::OK();
+      });
 }
 
-// --- shipments ---
-
 Payload EncodeShipment(const Shipment& s, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  std::string out;
-  AppendHeader(MessageClass::kShipment, &out);
-  AppendVarint(s.origin, &out);
-  AppendLengthPrefixed(s.name, &out);
-  AppendVarint(s.snapshot_version, &out);
-  AppendLengthPrefixed(s.manifest, &out);
-  AppendVarint(s.shards.size(), &out);
-  for (const Shipment::Shard& shard : s.shards) {
-    AppendLengthPrefixed(shard.id, &out);
-    AppendLengthPrefixed(shard.tree, &out);
-  }
-  if (stats != nullptr) {
-    stats->RecordEncode(MessageClass::kShipment, out.size(),
-                        TimingNowNs(stats) - t0);
-  }
-  return Payload(std::move(out));
+  return EncodeWire(MessageClass::kShipment, stats, [&](std::string* out) {
+    AppendVarint(s.origin, out);
+    AppendLengthPrefixed(s.name, out);
+    AppendVarint(s.snapshot_version, out);
+    AppendLengthPrefixed(s.manifest, out);
+    AppendVarint(s.shards.size(), out);
+    for (const Shipment::Shard& shard : s.shards) {
+      AppendLengthPrefixed(shard.id, out);
+      AppendLengthPrefixed(shard.tree, out);
+    }
+  });
 }
 
 Result<Shipment> DecodeShipment(const Payload& p, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  auto parse = [&]() -> Result<Shipment> {
-    Reader r(p.bytes());
-    AXML_RETURN_NOT_OK(ReadHeader(&r, MessageClass::kShipment));
-    Shipment s;
-    uint64_t origin = 0;
-    std::string_view name;
-    std::string_view manifest;
-    uint64_t shard_count = 0;
-    if (!r.ReadVarint(&origin) || !r.ReadLengthPrefixed(&name) ||
-        !r.ReadVarint(&s.snapshot_version) ||
-        !r.ReadLengthPrefixed(&manifest) || !r.ReadVarint(&shard_count)) {
-      return Malformed("shipment header");
-    }
-    if (shard_count > r.remaining()) return Malformed("shard count");
-    s.origin = static_cast<uint32_t>(origin);
-    s.name = std::string(name);
-    s.manifest = std::string(manifest);
-    for (uint64_t i = 0; i < shard_count; ++i) {
-      std::string_view id;
-      std::string_view tree;
-      if (!r.ReadLengthPrefixed(&id) || !r.ReadLengthPrefixed(&tree)) {
-        return Malformed("shipment shard");
-      }
-      s.shards.push_back({std::string(id), std::string(tree)});
-    }
-    if (!r.done()) return Malformed("trailing bytes after shipment");
-    return s;
-  };
-  Result<Shipment> result = parse();
-  if (stats != nullptr) {
-    stats->RecordDecode(p.size(), TimingNowNs(stats) - t0, result.ok());
-  }
-  return result;
+  return DecodeMessage<Shipment>(
+      p.bytes(), MessageClass::kShipment, stats,
+      [](Reader* r, Shipment* s) -> Status {
+        uint64_t shard_count = 0;
+        if (!ReadVarint32(r, &s->origin) || !ReadString(r, &s->name) ||
+            !r->ReadVarint(&s->snapshot_version) ||
+            !ReadString(r, &s->manifest) || !r->ReadVarint(&shard_count)) {
+          return Malformed("shipment header");
+        }
+        if (shard_count > r->remaining()) return Malformed("shard count");
+        for (uint64_t i = 0; i < shard_count; ++i) {
+          Shipment::Shard& shard = s->shards.emplace_back();
+          if (!ReadString(r, &shard.id) || !ReadString(r, &shard.tree)) {
+            return Malformed("shipment shard");
+          }
+        }
+        return Status::OK();
+      });
 }
 
-// --- anti-entropy digests ---
-
 Payload EncodeDigestExchange(const DigestExchange& d, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  std::string out;
-  AppendHeader(MessageClass::kDigest, &out);
-  AppendVarint(d.holder, &out);
-  AppendVarint(d.origin, &out);
-  AppendVarint(d.docs.size(), &out);
-  for (const DigestExchange::Doc& doc : d.docs) {
-    AppendLengthPrefixed(doc.name, &out);
-    AppendVarint(doc.version, &out);
-    AppendFixed64(doc.manifest.hi, &out);
-    AppendFixed64(doc.manifest.lo, &out);
-    AppendVarint(doc.shards.size(), &out);
-    for (const ContentDigest& shard : doc.shards) {
-      AppendFixed64(shard.hi, &out);
-      AppendFixed64(shard.lo, &out);
+  return EncodeWire(MessageClass::kDigest, stats, [&](std::string* out) {
+    AppendVarint(d.holder, out);
+    AppendVarint(d.origin, out);
+    AppendVarint(d.docs.size(), out);
+    for (const DigestExchange::Doc& doc : d.docs) {
+      AppendLengthPrefixed(doc.name, out);
+      AppendVarint(doc.version, out);
+      AppendFixed64(doc.manifest.hi, out);
+      AppendFixed64(doc.manifest.lo, out);
+      AppendVarint(doc.shards.size(), out);
+      for (const ContentDigest& shard : doc.shards) {
+        AppendFixed64(shard.hi, out);
+        AppendFixed64(shard.lo, out);
+      }
     }
-  }
-  if (stats != nullptr) {
-    stats->RecordEncode(MessageClass::kDigest, out.size(),
-                        TimingNowNs(stats) - t0);
-  }
-  return Payload(std::move(out));
+  });
 }
 
 Result<DigestExchange> DecodeDigestExchange(const Payload& p,
                                             WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  auto parse = [&]() -> Result<DigestExchange> {
-    Reader r(p.bytes());
-    AXML_RETURN_NOT_OK(ReadHeader(&r, MessageClass::kDigest));
-    DigestExchange d;
-    uint64_t holder = 0;
-    uint64_t origin = 0;
-    uint64_t doc_count = 0;
-    if (!r.ReadVarint(&holder) || !r.ReadVarint(&origin) ||
-        !r.ReadVarint(&doc_count)) {
-      return Malformed("digest header");
-    }
-    if (doc_count > r.remaining()) return Malformed("digest doc count");
-    d.holder = static_cast<uint32_t>(holder);
-    d.origin = static_cast<uint32_t>(origin);
-    for (uint64_t i = 0; i < doc_count; ++i) {
-      DigestExchange::Doc doc;
-      std::string_view name;
-      uint64_t shard_count = 0;
-      if (!r.ReadLengthPrefixed(&name) || !r.ReadVarint(&doc.version) ||
-          !r.ReadFixed64(&doc.manifest.hi) ||
-          !r.ReadFixed64(&doc.manifest.lo) || !r.ReadVarint(&shard_count)) {
-        return Malformed("digest doc");
-      }
-      if (shard_count > r.remaining() / 16) {
-        return Malformed("digest shard count");
-      }
-      doc.name = std::string(name);
-      for (uint64_t j = 0; j < shard_count; ++j) {
-        ContentDigest shard;
-        if (!r.ReadFixed64(&shard.hi) || !r.ReadFixed64(&shard.lo)) {
-          return Malformed("digest shard");
+  return DecodeMessage<DigestExchange>(
+      p.bytes(), MessageClass::kDigest, stats,
+      [](Reader* r, DigestExchange* d) -> Status {
+        uint64_t doc_count = 0;
+        if (!ReadVarint32(r, &d->holder) || !ReadVarint32(r, &d->origin) ||
+            !r->ReadVarint(&doc_count)) {
+          return Malformed("digest header");
         }
-        doc.shards.push_back(shard);
+        if (doc_count > r->remaining()) return Malformed("digest doc count");
+        for (uint64_t i = 0; i < doc_count; ++i) {
+          DigestExchange::Doc& doc = d->docs.emplace_back();
+          uint64_t shard_count = 0;
+          if (!ReadString(r, &doc.name) || !r->ReadVarint(&doc.version) ||
+              !r->ReadFixed64(&doc.manifest.hi) ||
+              !r->ReadFixed64(&doc.manifest.lo) ||
+              !r->ReadVarint(&shard_count)) {
+            return Malformed("digest doc");
+          }
+          if (shard_count > r->remaining() / 16) {
+            return Malformed("digest shard count");
+          }
+          for (uint64_t j = 0; j < shard_count; ++j) {
+            ContentDigest& shard = doc.shards.emplace_back();
+            if (!r->ReadFixed64(&shard.hi) || !r->ReadFixed64(&shard.lo)) {
+              return Malformed("digest shard");
+            }
+          }
+        }
+        return Status::OK();
+      });
+}
+
+Payload EncodeCatalog(const CatalogMessage& m, WireStats* stats) {
+  return EncodeWire(MessageClass::kCatalog, stats, [&](std::string* out) {
+    out->push_back(static_cast<char>(m.op));
+    if (m.op == CatalogMessage::Op::kDigest) {
+      AppendVarint(m.holder, out);
+      AppendVarint(m.deltas.size(), out);
+      for (const CatalogMessage::Entry& e : m.deltas) {
+        AppendCatalogEntry(e, out);
       }
-      d.docs.push_back(std::move(doc));
+      return;
     }
-    if (!r.done()) return Malformed("trailing bytes after digest");
-    return d;
-  };
-  Result<DigestExchange> result = parse();
-  if (stats != nullptr) {
-    stats->RecordDecode(p.size(), TimingNowNs(stats) - t0, result.ok());
-  }
-  return result;
+    AppendCatalogEntry(m.key, out);
+    if (m.op != CatalogMessage::Op::kAnswer) return;
+    AppendVarint(m.holders.size(), out);
+    for (uint32_t h : m.holders) AppendVarint(h, out);
+  });
+}
+
+Result<CatalogMessage> DecodeCatalog(const Payload& p, WireStats* stats) {
+  return DecodeMessage<CatalogMessage>(
+      p.bytes(), MessageClass::kCatalog, stats,
+      [](Reader* r, CatalogMessage* m) -> Status {
+        uint8_t op = 0;
+        if (!r->ReadByte(&op) || op > 2) return Malformed("catalog op");
+        m->op = static_cast<CatalogMessage::Op>(op);
+        if (m->op == CatalogMessage::Op::kDigest) {
+          uint64_t count = 0;
+          if (!ReadVarint32(r, &m->holder) || !r->ReadVarint(&count)) {
+            return Malformed("catalog digest header");
+          }
+          // An entry takes at least its flags byte and name length.
+          if (count > r->remaining() / 2) return Malformed("delta count");
+          for (uint64_t i = 0; i < count; ++i) {
+            if (!ReadCatalogEntry(r, &m->deltas.emplace_back())) {
+              return Malformed("catalog delta");
+            }
+          }
+          return Status::OK();
+        }
+        if (!ReadCatalogEntry(r, &m->key)) return Malformed("catalog key");
+        if (m->op != CatalogMessage::Op::kAnswer) return Status::OK();
+        uint64_t count = 0;
+        if (!r->ReadVarint(&count) || count > r->remaining()) {
+          return Malformed("catalog holder count");
+        }
+        for (uint64_t i = 0; i < count; ++i) {
+          if (!ReadVarint32(r, &m->holders.emplace_back())) {
+            return Malformed("catalog holder");
+          }
+        }
+        return Status::OK();
+      });
 }
 
 // --- text ---
 
 Payload EncodeText(MessageClass cls, std::string_view text,
                    WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  std::string out;
-  AppendHeader(cls, &out);
-  AppendLengthPrefixed(text, &out);
-  if (stats != nullptr) {
-    stats->RecordEncode(cls, out.size(), TimingNowNs(stats) - t0);
-  }
-  return Payload(std::move(out));
+  return EncodeWire(cls, stats, [&](std::string* out) {
+    AppendLengthPrefixed(text, out);
+  });
 }
 
 Result<std::string> DecodeText(const Payload& p, WireStats* stats) {
-  const uint64_t t0 = TimingNowNs(stats);
-  auto parse = [&]() -> Result<std::string> {
-    Reader r(p.bytes());
-    AXML_RETURN_NOT_OK(ReadHeader(&r, MessageClass::kControl));
-    std::string_view text;
-    if (!r.ReadLengthPrefixed(&text)) return Malformed("text body");
-    if (!r.done()) return Malformed("trailing bytes after text");
-    return std::string(text);
-  };
-  Result<std::string> result = parse();
-  if (stats != nullptr) {
-    stats->RecordDecode(p.size(), TimingNowNs(stats) - t0, result.ok());
-  }
-  return result;
+  return DecodeMessage<std::string>(
+      p.bytes(), std::nullopt, stats,
+      [](Reader* r, std::string* text) -> Status {
+        return ReadString(r, text) ? Status::OK() : Malformed("text body");
+      });
 }
 
 uint64_t EncodedTextSize(std::string_view text) {

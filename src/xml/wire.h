@@ -8,7 +8,7 @@
 // e.g. budget admission). The format is deliberately small and
 // versioned:
 //
-//   byte 0   kWireVersion (3)
+//   byte 0   kWireVersion (4)
 //   byte 1   MessageClass
 //   body     class-specific, varint-framed (see docs/wire-format.md)
 //
@@ -41,7 +41,7 @@ namespace axml {
 namespace wire {
 
 /// Bumped on any incompatible layout change; decoders reject mismatches.
-inline constexpr uint8_t kWireVersion = 3;
+inline constexpr uint8_t kWireVersion = 4;
 /// Every message starts with the version byte and the class byte.
 inline constexpr uint64_t kHeaderBytes = 2;
 
@@ -53,7 +53,7 @@ enum class MessageClass : uint8_t {
   kNotify = 2,    ///< invalidation notify batch
   kLease = 3,     ///< subscription lease renewal
   kDigest = 4,    ///< anti-entropy manifest/shard digest exchange
-  kControl = 5,   ///< modeled control traffic (catalog lookups etc.)
+  kCatalog = 5,   ///< catalog lookup, answer or advertisement digest
   kQuery = 6,     ///< query / service-call text
 };
 inline constexpr size_t kMessageClassCount = 7;
@@ -97,7 +97,7 @@ class Payload {
   size_t size() const { return bytes_.size(); }
   bool empty() const { return bytes_.empty(); }
   const std::string& bytes() const { return bytes_; }
-  /// Class from the header byte; kControl for empty/foreign buffers.
+  /// Class from the header byte; kQuery (free-form) for foreign buffers.
   MessageClass message_class() const;
 
  private:
@@ -216,6 +216,28 @@ Payload EncodeDigestExchange(const DigestExchange& d,
                              WireStats* stats = nullptr);
 Result<DigestExchange> DecodeDigestExchange(const Payload& p,
                                             WireStats* stats = nullptr);
+
+/// One catalog message (net/catalog.h): a lookup of `key`, the answer
+/// (`key` plus the `holders` the serving node indexes under it), or one
+/// `holder`'s advertisement digest of `deltas` for a responsible node.
+struct CatalogMessage {
+  enum class Op : uint8_t { kLookup = 0, kAnswer = 1, kDigest = 2 };
+  /// A document or service name; in a digest, added or withdrawn.
+  struct Entry {
+    bool service = false;
+    std::string name;
+    bool add = true;
+  };
+  Op op = Op::kLookup;
+  Entry key;                      ///< kLookup, kAnswer
+  std::vector<uint32_t> holders;  ///< kAnswer
+  uint32_t holder = 0;            ///< kDigest
+  std::vector<Entry> deltas;      ///< kDigest
+};
+
+Payload EncodeCatalog(const CatalogMessage& m, WireStats* stats = nullptr);
+Result<CatalogMessage> DecodeCatalog(const Payload& p,
+                                     WireStats* stats = nullptr);
 
 /// Free-form text message (query / service-call text) under `cls`
 /// (kQuery for AQL text).

@@ -310,10 +310,10 @@ TEST_F(EvaluatorTest, SendAsDocInstallsAndAccumulates) {
   EXPECT_EQ(copy->label_text(), "i");
   EXPECT_EQ(copy->child_count(), 2u);  // its own text + appended tree
   // The new document is discoverable.
-  LookupResult found = testing::LookupSync(
+  std::vector<PeerId> found = testing::LookupSync(
       *sys_.catalog(), ResourceKind::kDocument, "copy", p0_, sys_.network());
-  ASSERT_EQ(found.holders.size(), 1u);
-  EXPECT_EQ(found.holders[0], p1_);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0], p1_);
 }
 
 // --- Definition (8): query shipping ---

@@ -14,9 +14,12 @@
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "test_util.h"
 
 namespace axml {
 namespace {
+
+using testing::PayloadOfSize;
 
 // --- FaultInjector unit tests ---
 
@@ -179,7 +182,8 @@ TEST(NetworkFaultTest, DroppedSendIsCountedAndNeverDelivered) {
   net.set_fault_injector(&inj);
 
   bool delivered = false;
-  net.Send(PeerId(0), PeerId(1), 100, [&] { delivered = true; });
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(100),
+           [&](const wire::Payload&) { delivered = true; });
   loop.Run();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(net.stats().dropped_messages(), 1u);
@@ -200,7 +204,8 @@ TEST(NetworkFaultTest, SendReliableRetransmitsThroughLoss) {
   net.set_fault_injector(&inj);
 
   bool delivered = false;
-  net.SendReliable(PeerId(0), PeerId(1), 500, [&] { delivered = true; });
+  net.SendReliable(PeerId(0), PeerId(1), PayloadOfSize(500),
+                   [&](const wire::Payload&) { delivered = true; });
   loop.Run();
   EXPECT_TRUE(delivered);
   EXPECT_GT(net.stats().dropped_messages(), 0u);
@@ -222,7 +227,8 @@ TEST(NetworkFaultTest, SendReliableOutlivesAPartitionWindow) {
   net.set_fault_injector(&inj);
 
   bool delivered = false;
-  net.SendReliable(PeerId(0), PeerId(1), 100, [&] { delivered = true; });
+  net.SendReliable(PeerId(0), PeerId(1), PayloadOfSize(100),
+                   [&](const wire::Payload&) { delivered = true; });
   loop.Run();
   EXPECT_TRUE(delivered);
   // The retransmission loop carried virtual time past the window's end
@@ -242,13 +248,16 @@ TEST(NetworkFaultTest, ControlRoundtripRetriesThroughLoss) {
   net.set_fault_injector(&inj);
 
   bool done = false;
-  net.ControlRoundtrip(PeerId(0), PeerId(1), 2, 128, 0.05,
-                       [&] { done = true; });
+  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
+                       PayloadOfSize(64),
+                       [&](const wire::Payload&) { done = true; });
   loop.Run();
   EXPECT_TRUE(done);
-  // Each retry after the initial 2-message exchange charges one fresh
-  // control message.
-  EXPECT_GE(net.stats().control_messages(), 2u);
+  // Each retry charges the 2-message exchange afresh.
+  EXPECT_EQ(net.stats().control_messages(),
+            2 * (net.stats().dropped_messages() + 1));
+  EXPECT_EQ(net.stats().control_bytes(),
+            128 * (net.stats().dropped_messages() + 1));
 }
 
 TEST(NetworkFaultTest, SendToDownPeerDropsAndCrashInFlightDropsOnArrival) {
@@ -257,7 +266,8 @@ TEST(NetworkFaultTest, SendToDownPeerDropsAndCrashInFlightDropsOnArrival) {
 
   net.SetPeerUp(PeerId(1), false);
   bool to_down = false;
-  net.Send(PeerId(0), PeerId(1), 50, [&] { to_down = true; });
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(50),
+           [&](const wire::Payload&) { to_down = true; });
   loop.Run();
   EXPECT_FALSE(to_down);
   EXPECT_EQ(net.stats().dropped_messages(), 1u);
@@ -265,7 +275,8 @@ TEST(NetworkFaultTest, SendToDownPeerDropsAndCrashInFlightDropsOnArrival) {
   // A crash while the message is in flight: committed at send time,
   // evaporates on arrival.
   bool in_flight = false;
-  net.Send(PeerId(0), PeerId(2), 50, [&] { in_flight = true; });
+  net.Send(PeerId(0), PeerId(2), PayloadOfSize(50),
+           [&](const wire::Payload&) { in_flight = true; });
   net.SetPeerUp(PeerId(2), false);
   loop.Run();
   EXPECT_FALSE(in_flight);
@@ -274,7 +285,8 @@ TEST(NetworkFaultTest, SendToDownPeerDropsAndCrashInFlightDropsOnArrival) {
   // Rejoin restores delivery.
   net.SetPeerUp(PeerId(1), true);
   bool after_rejoin = false;
-  net.Send(PeerId(0), PeerId(1), 50, [&] { after_rejoin = true; });
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(50),
+           [&](const wire::Payload&) { after_rejoin = true; });
   loop.Run();
   EXPECT_TRUE(after_rejoin);
 }
@@ -284,7 +296,8 @@ TEST(NetworkFaultTest, SendReliableAbandonsACrashedDestination) {
   Network net(&loop, Topology(LinkParams{0.01, 1e6}));
   net.SetPeerUp(PeerId(1), false);
   bool delivered = false;
-  net.SendReliable(PeerId(0), PeerId(1), 100, [&] { delivered = true; });
+  net.SendReliable(PeerId(0), PeerId(1), PayloadOfSize(100),
+                   [&](const wire::Payload&) { delivered = true; });
   // Terminates: retrying into a down peer forever would hang the loop.
   loop.Run();
   EXPECT_FALSE(delivered);
@@ -298,8 +311,10 @@ TEST(NetworkFaultTest, ControlRoundtripAbandonsACrashedDestination) {
   net.SetPeerUp(PeerId(1), false);
   bool done = false;
   int abandoned = 0;
-  net.ControlRoundtrip(PeerId(0), PeerId(1), 2, 128, 0.05,
-                       [&] { done = true; }, [&] { ++abandoned; });
+  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
+                       PayloadOfSize(64),
+                       [&](const wire::Payload&) { done = true; },
+                       [&] { ++abandoned; });
   loop.Run();
   EXPECT_FALSE(done);
   EXPECT_EQ(abandoned, 1);
@@ -315,13 +330,18 @@ TEST(NetworkFaultTest, IdleInjectorIsByteIdenticalToNoInjector) {
     if (attach_injector) net.set_fault_injector(&inj);  // all-zero config
     std::vector<SimTime> arrivals;
     for (int i = 0; i < 5; ++i) {
-      net.Send(PeerId(i % 2), PeerId(2), 100 * (i + 1),
-               [&arrivals, &loop] { arrivals.push_back(loop.now()); });
+      net.Send(PeerId(i % 2), PeerId(2), PayloadOfSize(100 * (i + 1)),
+               [&arrivals, &loop](const wire::Payload&) {
+                 arrivals.push_back(loop.now());
+               });
     }
-    net.SendReliable(PeerId(0), PeerId(1), 700,
-                     [&arrivals, &loop] { arrivals.push_back(loop.now()); });
-    net.ControlRoundtrip(PeerId(1), PeerId(0), 2, 128, 0.05,
-                         [&arrivals, &loop] {
+    net.SendReliable(PeerId(0), PeerId(1), PayloadOfSize(700),
+                     [&arrivals, &loop](const wire::Payload&) {
+                       arrivals.push_back(loop.now());
+                     });
+    net.ControlRoundtrip(PeerId(1), PeerId(0), PayloadOfSize(64),
+                         PayloadOfSize(64),
+                         [&arrivals, &loop](const wire::Payload&) {
                            arrivals.push_back(loop.now());
                          });
     loop.Run();

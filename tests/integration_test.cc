@@ -280,11 +280,14 @@ TEST(CatalogAblationTest, StructuresTradeMessagesForDelay) {
     cat->Register(ResourceKind::kDocument, "d", peers[7]);
     Cost c;
     for (PeerId from : peers) {
-      LookupResult r = testing::LookupSync(*cat, ResourceKind::kDocument,
-                                           "d", from, sys.network());
-      if (!r.holders.empty()) ++c.found;
-      c.mean_messages += static_cast<double>(r.messages) / peers.size();
+      if (!testing::LookupSync(*cat, ResourceKind::kDocument, "d", from,
+                               sys.network())
+               .empty()) {
+        ++c.found;
+      }
     }
+    c.mean_messages =
+        static_cast<double>(cat->stats().lookup_messages) / peers.size();
     return c;
   };
   const Cost central =

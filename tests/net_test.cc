@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "net/catalog.h"
 #include "net/event_loop.h"
 #include "net/network.h"
@@ -14,6 +15,7 @@ namespace axml {
 namespace {
 
 using testing::LookupSync;
+using testing::PayloadOfSize;
 
 // --- EventLoop ---
 
@@ -190,7 +192,8 @@ TEST(NetworkTest, DeliversWithLatencyAndBandwidth) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.010, 1000}));
   bool delivered = false;
-  net.Send(PeerId(0), PeerId(1), 500, [&] { delivered = true; });
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(500),
+           [&](const wire::Payload&) { delivered = true; });
   loop.Run();
   EXPECT_TRUE(delivered);
   EXPECT_DOUBLE_EQ(loop.now(), 0.010 + 0.5);
@@ -202,10 +205,10 @@ TEST(NetworkTest, FifoSerializationPerLink) {
   std::vector<double> arrivals;
   // Two 1000-byte messages, same link: the second waits for the first's
   // transmission to finish.
-  net.Send(PeerId(0), PeerId(1), 1000,
-           [&] { arrivals.push_back(loop.now()); });
-  net.Send(PeerId(0), PeerId(1), 1000,
-           [&] { arrivals.push_back(loop.now()); });
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(1000),
+           [&](const wire::Payload&) { arrivals.push_back(loop.now()); });
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(1000),
+           [&](const wire::Payload&) { arrivals.push_back(loop.now()); });
   loop.Run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_DOUBLE_EQ(arrivals[0], 1.0);
@@ -216,10 +219,10 @@ TEST(NetworkTest, DistinctLinksDoNotInterfere) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.0, 1000}));
   std::vector<double> arrivals;
-  net.Send(PeerId(0), PeerId(1), 1000,
-           [&] { arrivals.push_back(loop.now()); });
-  net.Send(PeerId(0), PeerId(2), 1000,
-           [&] { arrivals.push_back(loop.now()); });
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(1000),
+           [&](const wire::Payload&) { arrivals.push_back(loop.now()); });
+  net.Send(PeerId(0), PeerId(2), PayloadOfSize(1000),
+           [&](const wire::Payload&) { arrivals.push_back(loop.now()); });
   loop.Run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_DOUBLE_EQ(arrivals[0], 1.0);
@@ -229,9 +232,9 @@ TEST(NetworkTest, DistinctLinksDoNotInterfere) {
 TEST(NetworkTest, StatsAccounting) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.001, 1e6}));
-  net.Send(PeerId(0), PeerId(1), 100, [] {});
-  net.Send(PeerId(0), PeerId(1), 200, [] {});
-  net.Send(PeerId(2), PeerId(2), 50, [] {});  // loopback
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(100), nullptr);
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(200), nullptr);
+  net.Send(PeerId(2), PeerId(2), PayloadOfSize(50), nullptr);  // loopback
   loop.Run();
   const NetStats& s = net.stats();
   EXPECT_EQ(s.total_messages(), 3u);
@@ -247,8 +250,9 @@ TEST(NetStatsTest, ResetClearsEveryCounterPairAndHistogram) {
   NetStats s;
   s.Record(PeerId(0), PeerId(1), 100);
   s.Record(PeerId(2), PeerId(2), 50);
-  s.RecordControl(3, 192);  // feeds the histogram too: 3 x 64 bytes
-  s.RecordNotify(PeerId(1), PeerId(0), 48);
+  for (int i = 0; i < 3; ++i) s.RecordControl(64);  // feeds the histogram
+  s.Record(PeerId(1), PeerId(0), 48);  // a notify: its link half ...
+  s.RecordPayload(wire::MessageClass::kNotify, 48);  // ... and its class
   s.RecordDrop(100);
   ASSERT_EQ(s.total_messages(), 3u);
   ASSERT_EQ(s.message_bytes_histogram().count(), 6u);
@@ -287,7 +291,6 @@ TEST(NetStatsDeathTest, NonConcretePeerInPairTripsTheDcheck) {
   NetStats s;
   EXPECT_DEATH(s.Record(PeerId::Invalid(), PeerId(1), 10), "non-peer");
   EXPECT_DEATH(s.Record(PeerId(0), PeerId::Any(), 10), "non-peer");
-  EXPECT_DEATH(s.RecordNotify(PeerId::Any(), PeerId(0), 10), "non-peer");
   EXPECT_DEATH(s.Pair(PeerId::Invalid(), PeerId::Invalid()), "non-peer");
 }
 #endif
@@ -295,20 +298,28 @@ TEST(NetStatsDeathTest, NonConcretePeerInPairTripsTheDcheck) {
 TEST(NetworkTest, ControlRoundtrip) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.001, 1e6}));
-  bool done = false;
-  net.ControlRoundtrip(PeerId(0), PeerId(1), 3, 192, 0.25,
-                       [&] { done = true; });
+  size_t answered = 0;
+  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
+                       PayloadOfSize(128),
+                       [&](const wire::Payload& p) { answered = p.size(); });
   loop.Run();
-  EXPECT_TRUE(done);
-  // The exchange's own delay (0.25) dominates this link's transmit +
-  // latency, so completion lands exactly at the catalog's estimate.
-  EXPECT_DOUBLE_EQ(loop.now(), 0.25);
-  EXPECT_EQ(net.stats().control_messages(), 3u);
+  // The requester receives the response.
+  EXPECT_EQ(answered, 128u);
+  // Both legs' one-way transfer times (0.001 + 64 / 1e6, then
+  // 0.001 + 128 / 1e6) exceed the anchor link's transmit + latency for
+  // all 192 bytes, so completion lands exactly at their sum.
+  EXPECT_DOUBLE_EQ(loop.now(), 0.002 + 192.0 / 1e6);
+  EXPECT_EQ(net.stats().control_messages(), 2u);
   EXPECT_EQ(net.stats().control_bytes(), 192u);
-  // Control traffic now feeds the shared message-size histogram
-  // (192 bytes over 3 messages = 64 each) and the anchor link's FIFO.
-  EXPECT_EQ(net.stats().message_bytes_histogram().count(), 3u);
+  // Each leg feeds the shared message-size histogram at its own size,
+  // and both are tallied under their message class.
+  EXPECT_EQ(net.stats().message_bytes_histogram().count(), 2u);
   EXPECT_EQ(net.stats().message_bytes_histogram().sum(), 192u);
+  const Histogram& h = net.stats().message_bytes_histogram();
+  EXPECT_EQ(h.bucket(Histogram::BucketIndex(64)), 1u);
+  EXPECT_EQ(h.bucket(Histogram::BucketIndex(128)), 1u);
+  EXPECT_EQ(net.stats().class_messages(wire::MessageClass::kQuery), 2u);
+  EXPECT_EQ(net.stats().class_bytes(wire::MessageClass::kQuery), 192u);
 }
 
 TEST(NetworkTest, ControlRoundtripQueuesBehindAnchorLink) {
@@ -318,14 +329,18 @@ TEST(NetworkTest, ControlRoundtripQueuesBehindAnchorLink) {
   Network net(&loop, Topology(LinkParams{0.001, 1e3}));  // 1 KB/s: slow
   bool data = false;
   bool control = false;
-  net.Send(PeerId(0), PeerId(1), 1000, [&] { data = true; });  // 1 s transmit
-  net.ControlRoundtrip(PeerId(0), PeerId(1), 2, 64, 0.01,
-                       [&] { control = true; });
+  // 1 s transmit.
+  net.Send(PeerId(0), PeerId(1), PayloadOfSize(1000),
+           [&](const wire::Payload&) { data = true; });
+  // A one-way control message.
+  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
+                       wire::Payload(),
+                       [&](const wire::Payload&) { control = true; });
   loop.Run();
   EXPECT_TRUE(data);
   EXPECT_TRUE(control);
   // The control exchange starts only after the 1 s data transmit frees
-  // the 0->1 link: 1.0 (queue) + max(64/1e3 + 0.001, 0.01) = 1.065.
+  // the 0->1 link: 1.0 (queue) + 64/1e3 + 0.001 = 1.065.
   EXPECT_DOUBLE_EQ(loop.now(), 1.0 + 0.065);
 }
 
@@ -336,21 +351,43 @@ class CatalogKindTest : public ::testing::Test {
   EventLoop loop_;
 };
 
+// The encoded sizes of a lookup request for document "d" and of an
+// answer to it listing `holders`.
+uint64_t LookupBytes() {
+  wire::CatalogMessage m;
+  m.key.name = "d";
+  return wire::EncodeCatalog(m).size();
+}
+uint64_t AnswerBytes(std::vector<uint32_t> holders) {
+  wire::CatalogMessage m;
+  m.op = wire::CatalogMessage::Op::kAnswer;
+  m.key.name = "d";
+  m.holders = std::move(holders);
+  return wire::EncodeCatalog(m).size();
+}
+
 TEST_F(CatalogKindTest, CentralChargesRoundTripToServer) {
   Network net(&loop_, Topology(LinkParams{0.020, 1e6}));
   CentralCatalog cat(PeerId(0));
   cat.set_peer_count(10);
   cat.Register(ResourceKind::kDocument, "d", PeerId(3));
-  LookupResult r =
+  std::vector<PeerId> h =
       LookupSync(cat, ResourceKind::kDocument, "d", PeerId(5), net);
-  ASSERT_EQ(r.holders.size(), 1u);
-  EXPECT_EQ(r.holders[0], PeerId(3));
-  EXPECT_EQ(r.messages, 2u);
-  EXPECT_NEAR(r.delay_s, 2 * (0.020 + 64.0 / 1e6), 1e-9);
+  ASSERT_EQ(h.size(), 1u);
+  EXPECT_EQ(h[0], PeerId(3));
+  // The request carries the key, the answer the key and the holder;
+  // each leg is priced at its own encoded size.
+  const uint64_t request = LookupBytes();
+  const uint64_t answer = AnswerBytes({3});
+  EXPECT_EQ(request, 6u);  // header, op, flags, name length, "d"
+  EXPECT_EQ(answer, 8u);   // ... plus holder count and one holder id
+  EXPECT_EQ(cat.stats().lookup_messages, 2u);
+  EXPECT_EQ(cat.stats().lookup_bytes, request + answer);
+  EXPECT_NEAR(loop_.now(), 2 * 0.020 + (request + answer) / 1e6, 1e-9);
   // Lookup from the server itself is (nearly) free.
-  LookupResult local =
-      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
-  EXPECT_LT(local.delay_s, r.delay_s);
+  const SimTime remote = loop_.now();
+  LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
+  EXPECT_LT(loop_.now() - remote, remote);
 }
 
 TEST_F(CatalogKindTest, CentralLookupWithItsServerDownAnswersNoHolders) {
@@ -361,9 +398,8 @@ TEST_F(CatalogKindTest, CentralLookupWithItsServerDownAnswersNoHolders) {
   net.SetPeerUp(PeerId(0), false);
   // Terminates (the roundtrip is not retried into the dead server) and
   // still calls back exactly once.
-  LookupResult r =
-      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(5), net);
-  EXPECT_TRUE(r.holders.empty());
+  EXPECT_TRUE(
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(5), net).empty());
   EXPECT_GT(net.stats().dropped_messages(), 0u);
 }
 
@@ -375,16 +411,16 @@ TEST_F(CatalogKindTest, ChordLookupRoutesAroundANextHopThatCrashesMidRoute) {
   // A requester whose lookup takes at least two routing hops, so its
   // first hop is an intermediate node, not the responsible one.
   PeerId from = PeerId::Invalid();
-  LookupResult clean;
   for (uint32_t f = 0; f < 64 && !from.is_concrete(); ++f) {
-    clean = LookupSync(cat, ResourceKind::kDocument, "d", PeerId(f), net);
-    if (clean.messages >= 3) from = PeerId(f);
+    cat.ResetStats();
+    LookupSync(cat, ResourceKind::kDocument, "d", PeerId(f), net);
+    if (cat.stats().lookup_messages >= 3) from = PeerId(f);
   }
   ASSERT_TRUE(from.is_concrete());
   // The first hop is the first node to record load.
   cat.ResetStats();
   cat.Lookup(ResourceKind::kDocument, "d", from, &net,
-             [](const LookupResult&) {});
+             [](const std::vector<PeerId>&) {});
   ASSERT_TRUE(loop_.RunOne());
   ASSERT_EQ(cat.node_load().size(), 1u);
   const PeerId first(cat.node_load().begin()->first);
@@ -393,11 +429,11 @@ TEST_F(CatalogKindTest, ChordLookupRoutesAroundANextHopThatCrashesMidRoute) {
   // Replay, crashing the first hop while the request is on its way.
   cat.ResetStats();
   int calls = 0;
-  LookupResult got;
+  std::vector<PeerId> got;
   cat.Lookup(ResourceKind::kDocument, "d", from, &net,
-             [&](const LookupResult& r) {
+             [&](const std::vector<PeerId>& h) {
                ++calls;
-               got = r;
+               got = h;
              });
   net.SetPeerUp(first, false);
   cat.SetPeerLive(first, false);
@@ -405,11 +441,11 @@ TEST_F(CatalogKindTest, ChordLookupRoutesAroundANextHopThatCrashesMidRoute) {
   EXPECT_EQ(calls, 1);
   // Routed again from the requester around the crashed peer: the
   // answer still carries the holder, and the dead node handled nothing.
-  ASSERT_EQ(got.holders.size(), 1u);
-  EXPECT_EQ(got.holders[0], PeerId(7));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], PeerId(7));
   EXPECT_EQ(cat.node_load().count(first.index()), 0u);
   EXPECT_EQ(net.stats().dropped_messages(), 1u);
-  EXPECT_GT(got.messages, 1u);
+  EXPECT_GT(cat.stats().lookup_messages, 1u);
 }
 
 TEST_F(CatalogKindTest, FloodVisitsNeighborGraph) {
@@ -422,12 +458,20 @@ TEST_F(CatalogKindTest, FloodVisitsNeighborGraph) {
   FloodCatalog cat(/*ttl=*/7);
   cat.set_peer_count(4);
   cat.Register(ResourceKind::kDocument, "d", PeerId(3));
-  LookupResult r =
+  std::vector<PeerId> h =
       LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
-  ASSERT_EQ(r.holders.size(), 1u);
-  EXPECT_EQ(r.holders[0], PeerId(3));
-  EXPECT_GE(r.messages, 3u);  // every edge crossed at least once
-  EXPECT_NEAR(r.delay_s, 2 * 0.010 * 3, 1e-9);  // depth 3, both ways
+  ASSERT_EQ(h.size(), 1u);
+  EXPECT_EQ(h[0], PeerId(3));
+  // Every reached node forwards the request on each of its edges (0->1,
+  // 1->0, 1->2, 2->1, 2->3, 3->2), and the holder answers once.
+  const uint64_t request = LookupBytes();
+  const uint64_t answer = AnswerBytes({3});
+  EXPECT_EQ(cat.stats().lookup_messages, 7u);
+  EXPECT_EQ(cat.stats().lookup_bytes, 6 * request + answer);
+  // The request reaches the holder at depth 3, and its answer comes
+  // straight back; it outweighs the last request copy, so it lands last.
+  EXPECT_NEAR(loop_.now(),
+              3 * (0.010 + request / 1e6) + 0.010 + answer / 1e6, 1e-9);
 }
 
 TEST_F(CatalogKindTest, FloodTtlLimitsReach) {
@@ -439,9 +483,9 @@ TEST_F(CatalogKindTest, FloodTtlLimitsReach) {
   FloodCatalog cat(/*ttl=*/2);
   cat.set_peer_count(4);
   cat.Register(ResourceKind::kDocument, "d", PeerId(3));
-  LookupResult r =
-      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
-  EXPECT_TRUE(r.holders.empty());  // peer 3 is 3 hops away, TTL is 2
+  // Peer 3 is 3 hops away, TTL is 2.
+  EXPECT_TRUE(
+      LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net).empty());
 }
 
 TEST_F(CatalogKindTest, AsyncLookupChargesControlTraffic) {
@@ -451,9 +495,9 @@ TEST_F(CatalogKindTest, AsyncLookupChargesControlTraffic) {
   cat.Register(ResourceKind::kDocument, "d", PeerId(2));
   bool called = false;
   cat.Lookup(ResourceKind::kDocument, "d", PeerId(1), &net,
-             [&](const LookupResult& r) {
+             [&](const std::vector<PeerId>& h) {
                called = true;
-               EXPECT_EQ(r.holders.size(), 1u);
+               EXPECT_EQ(h.size(), 1u);
              });
   loop_.Run();
   EXPECT_TRUE(called);
@@ -467,15 +511,89 @@ TEST_F(CatalogKindTest, UnregisterRemovesHolder) {
   cat.Register(ResourceKind::kDocument, "d", PeerId(1));
   cat.Register(ResourceKind::kDocument, "d", PeerId(2));
   cat.Unregister(ResourceKind::kDocument, "d", PeerId(1));
-  LookupResult r =
+  std::vector<PeerId> h =
       LookupSync(cat, ResourceKind::kDocument, "d", PeerId(3), net);
-  ASSERT_EQ(r.holders.size(), 1u);
-  EXPECT_EQ(r.holders[0], PeerId(2));
+  ASSERT_EQ(h.size(), 1u);
+  EXPECT_EQ(h[0], PeerId(2));
   // Unknown resources return no holders but still cost a lookup.
-  LookupResult miss =
-      LookupSync(cat, ResourceKind::kDocument, "zz", PeerId(3), net);
-  EXPECT_TRUE(miss.holders.empty());
-  EXPECT_GT(miss.messages, 0u);
+  const uint64_t before = cat.stats().lookup_messages;
+  EXPECT_TRUE(
+      LookupSync(cat, ResourceKind::kDocument, "zz", PeerId(3), net).empty());
+  EXPECT_GT(cat.stats().lookup_messages, before);
+}
+
+// Every catalog message is a kCatalog payload on the wire: for each
+// structure, the catalog's own byte counters and the network's class
+// tally agree, and each message enters the size histogram at its own
+// size.
+TEST_F(CatalogKindTest, CatalogBytesAreTheNetworksCatalogClassBytes) {
+  Topology topo(LinkParams{0.010, 1e6});
+  for (uint32_t i = 0; i < 16; ++i) {  // a ring, for flooding
+    topo.AddNeighborEdge(PeerId(i), PeerId((i + 1) % 16));
+  }
+  // A 20-character name makes a 25-byte request; its 22 holders (20 of
+  // them with two-byte ids) make a 68-byte answer.
+  const std::string name(20, 'n');
+  CentralCatalog central(PeerId(0));
+  ChordDhtCatalog chord;
+  FloodCatalog flood(/*ttl=*/8);  // reaches the whole ring
+  for (Catalog* cat :
+       std::initializer_list<Catalog*>{&central, &chord, &flood}) {
+    Network net(&loop_, topo);
+    cat->set_peer_count(16);
+    cat->AttachNetwork(&net);
+    // Unbatched advertisements, then a batch with a withdrawal.
+    for (uint32_t p = 0; p < 16; p += 3) {
+      cat->Register(ResourceKind::kDocument, StrCat("d", p), PeerId(p));
+    }
+    cat->BeginAdvertiseBatch();
+    for (uint32_t p = 0; p < 16; ++p) {
+      cat->Register(ResourceKind::kService, StrCat("s", p % 4), PeerId(p));
+    }
+    cat->Unregister(ResourceKind::kDocument, "d3", PeerId(3));
+    cat->EndAdvertiseBatch();
+    loop_.Run();
+    for (uint32_t p : {3u, 9u}) {
+      cat->Register(ResourceKind::kDocument, name, PeerId(p));
+    }
+    for (uint32_t p = 200; p < 220; ++p) {
+      cat->Register(ResourceKind::kDocument, name, PeerId(p));
+    }
+    const NetStats& ns = net.stats();
+    for (uint32_t from = 0; from < 16; ++from) {
+      EXPECT_FALSE(
+          LookupSync(*cat, ResourceKind::kDocument, name, PeerId(from), net)
+              .empty());
+      LookupSync(*cat, ResourceKind::kDocument, StrCat("d", from % 7),
+                 PeerId(from), net);
+    }
+    const CatalogStats& cs = cat->stats();
+    const char* backend = cat->backend_name();
+    EXPECT_GT(cs.lookup_messages, 0u) << backend;
+    EXPECT_EQ(cs.lookup_bytes + cs.advertise_bytes,
+              ns.class_bytes(wire::MessageClass::kCatalog))
+        << backend;
+    EXPECT_EQ(cs.lookup_messages + cs.advertise_messages,
+              ns.class_messages(wire::MessageClass::kCatalog))
+        << backend;
+    EXPECT_EQ(ns.control_messages(),
+              ns.class_messages(wire::MessageClass::kCatalog))
+        << backend;
+    EXPECT_EQ(ns.control_bytes(), ns.class_bytes(wire::MessageClass::kCatalog))
+        << backend;
+    // Only catalog traffic ran: one histogram entry per message, at its
+    // own size. A roundtrip's 25- and 68-byte legs averaged would land
+    // in [32, 64), where no catalog message of this test falls.
+    const Histogram& h = ns.message_bytes_histogram();
+    EXPECT_EQ(h.count(), ns.control_messages()) << backend;
+    EXPECT_EQ(h.sum(), ns.control_bytes()) << backend;
+    EXPECT_EQ(h.bucket(Histogram::BucketIndex(32)), 0u) << backend;
+    cat->AttachNetwork(nullptr);
+  }
+  // Chord digests are the only advertisement traffic.
+  EXPECT_EQ(central.stats().advertise_messages, 0u);
+  EXPECT_GT(chord.stats().advertise_messages, 0u);
+  EXPECT_EQ(flood.stats().advertise_messages, 0u);
 }
 
 TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
@@ -497,17 +615,18 @@ TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
     EXPECT_EQ(cat->HolderCount(ResourceKind::kDocument, "d"), 1u);
     // Document and service namespaces are disjoint.
     EXPECT_FALSE(cat->IsAdvertised(ResourceKind::kService, "d", PeerId(1)));
-    LookupResult r =
+    std::vector<PeerId> h =
         LookupSync(*cat, ResourceKind::kDocument, "d", PeerId(2), net);
-    ASSERT_EQ(r.holders.size(), 1u);
-    EXPECT_EQ(r.holders[0], PeerId(1));
+    ASSERT_EQ(h.size(), 1u);
+    EXPECT_EQ(h[0], PeerId(1));
     cat->Unregister(ResourceKind::kDocument, "d", PeerId(1));
     EXPECT_FALSE(cat->IsAdvertised(ResourceKind::kDocument, "d", PeerId(1)));
     EXPECT_EQ(cat->HolderCount(ResourceKind::kDocument, "d"), 0u);
     // Unregistering an absent holder is a no-op.
     cat->Unregister(ResourceKind::kDocument, "d", PeerId(1));
-    EXPECT_TRUE(LookupSync(*cat, ResourceKind::kDocument, "d", PeerId(2), net)
-                    .holders.empty());
+    EXPECT_TRUE(
+        LookupSync(*cat, ResourceKind::kDocument, "d", PeerId(2), net)
+            .empty());
   }
 }
 

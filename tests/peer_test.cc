@@ -318,14 +318,14 @@ TEST(SystemTest, InstallRegistersInCatalog) {
   ASSERT_TRUE(sys.InstallDocumentXml(a, "d", "<x/>").ok());
   Query q = Query::Parse("for $x in input(0) return $x").value();
   ASSERT_TRUE(sys.InstallService(b, Service::Declarative("s", q)).ok());
-  LookupResult docs = testing::LookupSync(
+  std::vector<PeerId> docs = testing::LookupSync(
       *sys.catalog(), ResourceKind::kDocument, "d", b, sys.network());
-  ASSERT_EQ(docs.holders.size(), 1u);
-  EXPECT_EQ(docs.holders[0], a);
-  LookupResult svcs = testing::LookupSync(
+  ASSERT_EQ(docs.size(), 1u);
+  EXPECT_EQ(docs[0], a);
+  std::vector<PeerId> svcs = testing::LookupSync(
       *sys.catalog(), ResourceKind::kService, "s", a, sys.network());
-  ASSERT_EQ(svcs.holders.size(), 1u);
-  EXPECT_EQ(svcs.holders[0], b);
+  ASSERT_EQ(svcs.size(), 1u);
+  EXPECT_EQ(svcs[0], b);
 }
 
 TEST(SystemTest, ReplicatedDocumentFormsClass) {

@@ -16,6 +16,7 @@
 #include "net/catalog.h"
 #include "net/network.h"
 #include "xml/tree.h"
+#include "xml/wire.h"
 #include "xml/tree_equal.h"
 
 namespace axml {
@@ -32,16 +33,26 @@ inline uint64_t TestSeed(uint64_t fallback) {
   return end == s ? fallback : static_cast<uint64_t>(parsed);
 }
 
+/// A payload of exactly `n` bytes (n >= 2): a kQuery header and zero
+/// filler, for network tests that send a given byte count.
+inline wire::Payload PayloadOfSize(size_t n) {
+  AXML_CHECK_GE(n, wire::kHeaderBytes);
+  std::string bytes(n, '\0');
+  bytes[0] = static_cast<char>(wire::kWireVersion);
+  bytes[1] = static_cast<char>(wire::MessageClass::kQuery);
+  return wire::Payload(std::move(bytes));
+}
+
 /// Looks `name` up through `cat` from `from` and runs `net`'s event loop
-/// until it drains; returns what the lookup called back with. Every
-/// lookup must call back exactly once.
-inline LookupResult LookupSync(CatalogBackend& cat, ResourceKind kind,
-                               const std::string& name, PeerId from,
-                               Network& net) {
-  LookupResult out;
+/// until it drains; returns the holders the lookup called back with.
+/// Every lookup must call back exactly once.
+inline std::vector<PeerId> LookupSync(CatalogBackend& cat, ResourceKind kind,
+                                      const std::string& name, PeerId from,
+                                      Network& net) {
+  std::vector<PeerId> out;
   int calls = 0;
-  cat.Lookup(kind, name, from, &net, [&](const LookupResult& r) {
-    out = r;
+  cat.Lookup(kind, name, from, &net, [&](const std::vector<PeerId>& h) {
+    out = h;
     ++calls;
   });
   net.loop()->Run();

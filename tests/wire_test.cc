@@ -4,8 +4,9 @@
 // matrix turns any failure into a pinned one-line repro:
 //
 //   1. Round trip: random trees, shipments, notify batches, lease
-//      renewals and digest exchanges decode back to the identical
-//      canonical form (trees) / field-identical struct (messages).
+//      renewals, digest exchanges and catalog messages decode back to
+//      the identical canonical form (trees) / field-identical struct
+//      (messages).
 //   2. Canonical stability: unordered-equal trees — and only they —
 //      encode byte-identically, the property the content-addressed
 //      blob store and shard ids price against. On the same trees, the
@@ -125,6 +126,39 @@ TEST(WireModelTest, UnorderedEqualTreesEncodeByteIdentically) {
   }
 }
 
+void ExpectSameEntry(const wire::CatalogMessage::Entry& a,
+                     const wire::CatalogMessage::Entry& b) {
+  EXPECT_EQ(a.service, b.service);
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.add, b.add);
+}
+
+// Decodes `m`'s encoding and checks every field its op carries.
+void ExpectCatalogRoundTrip(const wire::CatalogMessage& m) {
+  const wire::Payload p = wire::EncodeCatalog(m);
+  EXPECT_EQ(p.message_class(), wire::MessageClass::kCatalog);
+  auto got = wire::DecodeCatalog(p);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->op, m.op);
+  if (m.op == wire::CatalogMessage::Op::kDigest) {
+    EXPECT_EQ(got->holder, m.holder);
+    ASSERT_EQ(got->deltas.size(), m.deltas.size());
+    for (size_t i = 0; i < m.deltas.size(); ++i) {
+      ExpectSameEntry(got->deltas[i], m.deltas[i]);
+    }
+    return;
+  }
+  ExpectSameEntry(got->key, m.key);
+  if (m.op == wire::CatalogMessage::Op::kAnswer) {
+    EXPECT_EQ(got->holders, m.holders);
+  }
+}
+
+wire::CatalogMessage::Entry RandomEntry(Rng* rng) {
+  return {rng->Bernoulli(0.5), rng->Identifier(1 + rng->Index(20)),
+          rng->Bernoulli(0.5)};
+}
+
 TEST(WireModelTest, ProtocolMessagesRoundTrip) {
   Rng rng(TestSeed(0x3E55));
   NodeIdGen gen;
@@ -221,6 +255,28 @@ TEST(WireModelTest, ProtocolMessagesRoundTrip) {
     auto tt = wire::DecodeText(tp);
     ASSERT_TRUE(tt.ok()) << tt.status();
     EXPECT_EQ(*tt, text);
+
+    // Catalog messages: a lookup, an answer (every fourth with zero
+    // holders, the rest with ids that need two-byte varints) and a
+    // digest of up to 40 deltas.
+    wire::CatalogMessage lookup;
+    lookup.key = RandomEntry(&rng);
+    ExpectCatalogRoundTrip(lookup);
+    wire::CatalogMessage answer = lookup;
+    answer.op = wire::CatalogMessage::Op::kAnswer;
+    const size_t holders = i % 4 == 0 ? 0 : 1 + rng.Index(40);
+    for (size_t h = 0; h < holders; ++h) {
+      answer.holders.push_back(static_cast<uint32_t>(rng.Index(5000)));
+    }
+    ExpectCatalogRoundTrip(answer);
+    wire::CatalogMessage digest;
+    digest.op = wire::CatalogMessage::Op::kDigest;
+    digest.holder = static_cast<uint32_t>(rng.Index(5000));
+    const size_t deltas = rng.Index(41);
+    for (size_t d = 0; d < deltas; ++d) {
+      digest.deltas.push_back(RandomEntry(&rng));
+    }
+    ExpectCatalogRoundTrip(digest);
   }
 }
 
@@ -302,6 +358,58 @@ TEST(WireModelTest, TruncatedAndCorruptedBuffersRejectedWithStatus) {
   std::string bad_count = wb;
   bad_count.back() = 5;
   EXPECT_FALSE(wire::DecodeShipment(wire::Payload(bad_count)).ok());
+
+  // Catalog messages: a lookup, answers with zero holders and with many
+  // two-byte holder ids, and a digest with many entries.
+  wire::CatalogMessage lookup;
+  lookup.key = {true, "svc", true};
+  wire::CatalogMessage no_holders = lookup;
+  no_holders.op = wire::CatalogMessage::Op::kAnswer;
+  wire::CatalogMessage many_holders = no_holders;
+  for (uint32_t h = 0; h < 50; ++h) many_holders.holders.push_back(128 + h);
+  wire::CatalogMessage digest;
+  digest.op = wire::CatalogMessage::Op::kDigest;
+  digest.holder = 300;
+  for (int d = 0; d < 50; ++d) {
+    digest.deltas.push_back({d % 2 == 0, StrCat("doc", d), d % 3 != 0});
+  }
+  for (const wire::CatalogMessage& m :
+       {lookup, no_holders, many_holders, digest}) {
+    const std::string cb = wire::EncodeCatalog(m).bytes();
+    ASSERT_TRUE(wire::DecodeCatalog(wire::Payload(cb)).ok());
+    for (size_t cut = 0; cut < cb.size(); ++cut) {
+      EXPECT_FALSE(
+          wire::DecodeCatalog(wire::Payload(cb.substr(0, cut))).ok());
+    }
+    EXPECT_FALSE(wire::DecodeCatalog(wire::Payload(cb + '\0')).ok());
+    for (int i = 0; i < 100; ++i) {
+      std::string mutated = cb;
+      mutated[rng.Index(mutated.size())] =
+          static_cast<char>(rng.Uniform(256));
+      wire::DecodeCatalog(wire::Payload(std::move(mutated)));  // no crash
+    }
+  }
+  // Ids of 128 and up take two varint bytes each.
+  EXPECT_EQ(wire::EncodeCatalog(many_holders).size(),
+            wire::EncodeCatalog(no_holders).size() + 50 * 2);
+  // An op, an entry flag or a count out of range rejects. The op is the
+  // byte after the header; the lookup's flags byte follows it.
+  const std::string lb = wire::EncodeCatalog(lookup).bytes();
+  std::string bad_op = lb;
+  bad_op[wire::kHeaderBytes] = 3;
+  EXPECT_FALSE(wire::DecodeCatalog(wire::Payload(bad_op)).ok());
+  std::string bad_flags = lb;
+  bad_flags[wire::kHeaderBytes + 1] = 4;
+  EXPECT_FALSE(wire::DecodeCatalog(wire::Payload(bad_flags)).ok());
+  // A zero-holder answer ends with its holder count.
+  std::string bad_holders = wire::EncodeCatalog(no_holders).bytes();
+  bad_holders.back() = 1;
+  EXPECT_FALSE(wire::DecodeCatalog(wire::Payload(bad_holders)).ok());
+  // A digest's delta count is the varint after op and holder (300 takes
+  // two bytes); one more delta than it carries rejects.
+  std::string bad_deltas = wire::EncodeCatalog(digest).bytes();
+  bad_deltas[wire::kHeaderBytes + 3] = 51;
+  EXPECT_FALSE(wire::DecodeCatalog(wire::Payload(bad_deltas)).ok());
 }
 
 TEST(WireModelTest, VersionAndClassMismatchesRejected) {

@@ -171,23 +171,22 @@ std::vector<PeerId> CatalogBackend::HoldersIn(const wire::Payload& answer) {
 }
 
 void CatalogBackend::SendLookup(Network* net, PeerId from, PeerId to,
-                                wire::Payload request, wire::Payload response,
-                                Network::PayloadDeliverFn on_done,
+                                wire::Payload message,
+                                Network::PayloadDeliverFn on_arrival,
                                 Network::DeliverFn on_abandon) {
-  stats_.lookup_messages += response.empty() ? 1 : 2;
-  stats_.lookup_bytes += request.size() + response.size();
-  net->ControlRoundtrip(from, to, std::move(request), std::move(response),
-                        std::move(on_done), std::move(on_abandon));
+  ++stats_.lookup_messages;
+  stats_.lookup_bytes += message.size();
+  net->SendReliable(from, to, std::move(message), std::move(on_arrival),
+                    std::move(on_abandon));
 }
 
 void CatalogBackend::Answer(Network* net, PeerId from, PeerId to,
-                            wire::Payload request, wire::Payload response,
-                            LookupCallback cb) {
+                            wire::Payload answer, LookupCallback cb) {
   // Exactly one of the two closures runs; they share the callback.
   auto done = std::make_shared<LookupCallback>(std::move(cb));
   SendLookup(
-      net, from, to, std::move(request), std::move(response),
-      [done](const wire::Payload& answer) { (*done)(HoldersIn(answer)); },
+      net, from, to, std::move(answer),
+      [done](const wire::Payload& arrived) { (*done)(HoldersIn(arrived)); },
       [done] { (*done)({}); });
 }
 
@@ -196,16 +195,20 @@ void CatalogBackend::Answer(Network* net, PeerId from, PeerId to,
 void CentralCatalog::Lookup(ResourceKind kind, const std::string& name,
                             PeerId from, Network* net, LookupCallback cb) {
   ++stats_.lookups;
-  // The server handles the request; the requester receiving its own
-  // response is not load.
-  AddNodeLoad(server_);
-  wire::Payload request = EncodeLookup(kind, name);
-  wire::Payload answer = AnswerTo(request);
-  // The exchange is anchored on the requester->server link, so it queues
-  // behind (and is judged with) that link's data traffic. A down server
-  // answers nothing: the lookup ends with no holders.
-  Answer(net, from, server_, std::move(request), std::move(answer),
-         std::move(cb));
+  // The request travels the requester->server link, so it queues behind
+  // (and is judged with) that link's data traffic; the server answers
+  // from its index as the request lands, on the server->requester link.
+  // A down server answers nothing: the lookup ends with no holders.
+  auto done = std::make_shared<LookupCallback>(std::move(cb));
+  SendLookup(
+      net, from, server_, EncodeLookup(kind, name),
+      [this, net, from, done](const wire::Payload& request) {
+        // The server handles the request; the requester receiving its
+        // own answer is not load.
+        AddNodeLoad(server_);
+        Answer(net, server_, from, AnswerTo(request), std::move(*done));
+      },
+      [done] { (*done)({}); });
 }
 
 // --- ChordDhtCatalog ---
@@ -291,7 +294,7 @@ void ChordDhtCatalog::Step(const std::shared_ptr<Walk>& walk, PeerId cur) {
   if (cur.index() == responsible) {
     // The responsible node answers the requester directly from its index
     // (over loopback when the requester owns the entry's arc).
-    Answer(net, cur, walk->from, AnswerTo(walk->request), wire::Payload(),
+    Answer(net, cur, walk->from, AnswerTo(walk->request),
            std::move(walk->cb));
     return;
   }
@@ -305,7 +308,7 @@ void ChordDhtCatalog::Step(const std::shared_ptr<Walk>& walk, PeerId cur) {
   // injection; the receiving node's load counter moves when the hop is
   // delivered.
   SendLookup(
-      net, cur, next, walk->request, wire::Payload(),
+      net, cur, next, walk->request,
       [this, walk, next](const wire::Payload&) {
         AddNodeLoad(next);
         Step(walk, next);
@@ -371,8 +374,8 @@ void ChordDhtCatalog::SendDigest(
   wire::Payload digest = wire::EncodeCatalog(m);
   RecordAdvertise(1, digest.size(), m.deltas.size());
   AddNodeLoad(PeerId(responsible));
-  net_->ControlRoundtrip(PeerId(holder), PeerId(responsible),
-                         std::move(digest), wire::Payload(), nullptr);
+  net_->SendReliable(PeerId(holder), PeerId(responsible), std::move(digest),
+                     nullptr);
 }
 
 // --- FloodCatalog ---
@@ -427,7 +430,7 @@ void FloodCatalog::Forward(const std::shared_ptr<Flood>& flood, PeerId from,
     --flood->in_flight;
     Settle(flood);
   };
-  SendLookup(flood->net, from, to, std::move(payload), wire::Payload(),
+  SendLookup(flood->net, from, to, std::move(payload),
              [landed, on_arrival = std::move(on_arrival)](
                  const wire::Payload& p) {
                on_arrival(p);

@@ -8,20 +8,22 @@
 // CatalogBackend interface makes the structure pluggable; three
 // implementations exist, one per network structure:
 //
-//  - CentralCatalog:  one index server, one roundtrip per lookup.
+//  - CentralCatalog:  one index server, a request and an answer per lookup.
 //  - ChordDhtCatalog: a Chord ring routed hop by hop, with batched
 //                     advertisement digests to the responsible node.
 //  - FloodCatalog:    Gnutella-style flooding with a TTL.
 //
 // Every catalog message is an encoded wire::CatalogMessage (xml/wire.h)
-// sent as a Network::ControlRoundtrip, so it is priced at its encoded
-// size, traced and fault-injectable like every other message: a lookup
-// request carries the key, an answer the key and the holders the
+// sent one way with Network::SendReliable, so it is priced at its
+// encoded size, traced and fault-injectable like every other message: a
+// lookup request carries the key, an answer the key and the holders the
 // serving node indexes, a digest one holder's advertisement deltas. The
-// requester's holders are the ones in the answer it decoded. Lookup
-// answers asynchronously, exactly once; CatalogStats counts messages
-// and bytes, node_load the per-serving-node load behind bench_fleet's
-// hot-node share, and the event loop's clock a lookup's delay.
+// serving node builds its answer from the request it decoded, when the
+// request lands, and sends it back on its own link; the requester's
+// holders are the ones in the answer it decoded. Lookup answers
+// asynchronously, exactly once; CatalogStats counts messages and bytes,
+// node_load the per-serving-node load behind bench_fleet's hot-node
+// share, and the event loop's clock a lookup's delay.
 
 #ifndef AXML_NET_CATALOG_H_
 #define AXML_NET_CATALOG_H_
@@ -174,17 +176,16 @@ class CatalogBackend {
   wire::Payload AnswerTo(const wire::Payload& request,
                          std::optional<PeerId> node = std::nullopt) const;
   static std::vector<PeerId> HoldersIn(const wire::Payload& answer);
-  /// Sends one lookup exchange (Network::ControlRoundtrip), counted in
-  /// lookup_messages/bytes.
-  void SendLookup(Network* net, PeerId from, PeerId to,
-                  wire::Payload request, wire::Payload response,
-                  Network::PayloadDeliverFn on_done,
+  /// Sends one lookup message (a request, a routing hop or an answer)
+  /// with Network::SendReliable, counted in lookup_messages/bytes.
+  void SendLookup(Network* net, PeerId from, PeerId to, wire::Payload message,
+                  Network::PayloadDeliverFn on_arrival,
                   Network::DeliverFn on_abandon);
-  /// Sends a lookup's answering exchange and calls `cb` exactly once:
-  /// with the holders of the answer that arrived, or with none when the
-  /// exchange is abandoned (an endpoint crashed).
-  void Answer(Network* net, PeerId from, PeerId to, wire::Payload request,
-              wire::Payload response, LookupCallback cb);
+  /// Sends `answer` to the requester and calls `cb` exactly once: with
+  /// the holders of the answer that arrived, or with none when it is
+  /// abandoned (an endpoint crashed).
+  void Answer(Network* net, PeerId from, PeerId to, wire::Payload answer,
+              LookupCallback cb);
 
   const std::vector<PeerId>* Holders(ResourceKind kind,
                                      const std::string& name) const;
@@ -206,7 +207,8 @@ class CatalogBackend {
 using Catalog = CatalogBackend;
 
 /// Single well-known index server. Advertisements stay free ("charged
-/// lazily on lookup", as in the seed); every lookup loads the server.
+/// lazily on lookup", as in the seed); the server answers each lookup
+/// as its request lands, and counts it as load.
 class CentralCatalog : public CatalogBackend {
  public:
   explicit CentralCatalog(PeerId server) : server_(server) {}
@@ -214,8 +216,6 @@ class CentralCatalog : public CatalogBackend {
   const char* backend_name() const override { return "central"; }
   void Lookup(ResourceKind kind, const std::string& name, PeerId from,
               Network* net, LookupCallback cb) override;
-
-  PeerId server() const { return server_; }
 
  private:
   PeerId server_;
@@ -225,7 +225,7 @@ class CentralCatalog : public CatalogBackend {
 /// 64-bit hash ring ending at its point; entry `name` lives at the
 /// successor of hash(name). Lookups route greedily through finger
 /// intervals (successor of cur + 2^j), giving O(log P) hops, each hop a
-/// ControlRoundtrip on the actual cur->next link. Each next hop is
+/// one-way message on the actual cur->next link. Each next hop is
 /// picked from the node the lookup is on, when it sends that hop.
 /// Advertisement deltas route as digest messages holder -> responsible
 /// node (holders cache their responsible-node addresses, the standard

@@ -4,10 +4,16 @@
 
 namespace axml {
 
-void NetStats::Record(PeerId from, PeerId to, uint64_t bytes) {
+void NetStats::Record(PeerId from, PeerId to, wire::MessageClass cls,
+                      uint64_t bytes) {
+  msg_bytes_.Add(bytes);
+  if (wire::TrafficOf(cls) == wire::Traffic::kControl) {
+    ++control_messages_;
+    control_bytes_ += bytes;
+    return;
+  }
   ++total_messages_;
   total_bytes_ += bytes;
-  msg_bytes_.Add(bytes);
   if (from != to) {
     ++remote_messages_;
     remote_bytes_ += bytes;
@@ -15,12 +21,6 @@ void NetStats::Record(PeerId from, PeerId to, uint64_t bytes) {
   PairStats& p = pairs_[Key(from, to)];
   ++p.messages;
   p.bytes += bytes;
-}
-
-void NetStats::RecordControl(uint64_t bytes) {
-  ++control_messages_;
-  control_bytes_ += bytes;
-  msg_bytes_.Add(bytes);
 }
 
 void NetStats::RecordPayload(wire::MessageClass cls, uint64_t bytes) {

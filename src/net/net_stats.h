@@ -1,6 +1,8 @@
 // Transfer accounting: the quantities the paper's optimizations are
 // about. Every benchmark reports these counters for naive vs rewritten
-// evaluation strategies.
+// evaluation strategies. Every message is charged on its link once per
+// attempt and under its wire::MessageClass once per send; its class
+// alone decides whether it counts as data or control (wire::TrafficOf).
 
 #ifndef AXML_NET_NET_STATS_H_
 #define AXML_NET_NET_STATS_H_
@@ -26,18 +28,17 @@ struct PairStats {
 /// Global transfer statistics collected by the Network.
 class NetStats {
  public:
-  void Record(PeerId from, PeerId to, uint64_t bytes);
-  /// Charges one control message (a catalog lookup, answer or
-  /// advertisement digest; one leg of an anti-entropy exchange) of
-  /// `bytes`. It feeds the shared message-size histogram at its own
-  /// size.
-  void RecordControl(uint64_t bytes);
+  /// Charges one attempt of a message on link from -> to. Data feeds
+  /// the totals and the remote and per-pair tallies, control only the
+  /// control counters; both feed the size histogram.
+  void Record(PeerId from, PeerId to, wire::MessageClass cls,
+              uint64_t bytes);
   /// Records a message the fabric dropped — fault injection, a crashed
   /// endpoint — after it was charged as sent.
   void RecordDrop(uint64_t bytes);
   /// Tallies one encoded payload against its message class — the
-  /// per-class half of the accounting; the link half is Record (or
-  /// RecordControl). Every send records both.
+  /// per-class half of the accounting, once per send; the link half is
+  /// Record.
   void RecordPayload(wire::MessageClass cls, uint64_t bytes);
   void Reset();
 
@@ -72,8 +73,8 @@ class NetStats {
 
   PairStats Pair(PeerId from, PeerId to) const;
 
-  /// Distribution of per-message sizes (log2 buckets; Record and
-  /// RecordControl both feed it, each message at its own size).
+  /// Distribution of per-message sizes (log2 buckets; every Record
+  /// feeds it, data and control, each message at its own size).
   const Histogram& message_bytes_histogram() const { return msg_bytes_; }
 
   /// Emits every counter (and the size histogram) into `sink` under its

@@ -4,7 +4,13 @@
 // Substitution note (DESIGN.md): the paper's SOAP/WSDL transport is
 // replaced by this simulator. Every send carries an encoded
 // wire::Payload (xml/wire.h), data and control alike, and the byte size
-// charged for each message is that payload's size.
+// charged for each message is that payload's size. There are two send
+// primitives, Send and SendReliable (Send plus the one retry rule), and
+// each carries one message one way. An exchange with an answer is two
+// messages: the receiver of the request builds the answer from the
+// request it decoded and sends it back on the reverse link. Whether a
+// message is data or control, and the span it is traced under, follow
+// from its message class (wire::TrafficOf).
 
 #ifndef AXML_NET_NETWORK_H_
 #define AXML_NET_NETWORK_H_
@@ -52,36 +58,23 @@ class Network {
   /// serialized FIFO: a message starts transmitting only after the
   /// previous one finished (propagation overlaps, as on a real pipe).
   /// Every send also tallies the payload's message class (NetStats::
-  /// class_messages/bytes; a kNotify payload gets a "notify" span).
+  /// class_messages/bytes).
   void Send(PeerId from, PeerId to, wire::Payload payload,
             PayloadDeliverFn on_deliver);
-  /// Like Send, but retransmits deterministically (after a fixed
-  /// retransmission timeout of about one RTT) whenever the fabric drops
-  /// the message, so the payload eventually lands under lossy-link or
-  /// partition-window fault schedules. Each retransmission is charged
-  /// to NetStats like a fresh message. Gives up under the one retry
-  /// rule (see Retry). On a perfect fabric this is byte-identical to
-  /// Send.
+  /// Like Send, but retransmits deterministically (one RTO, about one
+  /// RTT, after the fabric drops it) so the payload eventually lands
+  /// under lossy-link or partition-window fault schedules. Each
+  /// retransmission is charged to NetStats like a fresh message. Gives
+  /// up under the one retry rule (see Retry), and then runs
+  /// `on_abandon` (if any) instead of `on_deliver`. On a perfect fabric
+  /// this is byte-identical to Send.
   void SendReliable(PeerId from, PeerId to, wire::Payload payload,
-                    PayloadDeliverFn on_deliver);
-
-  /// One control-plane exchange (catalog messages, anti-entropy
-  /// digests): `request` goes from -> to and, unless it is empty,
-  /// `response` comes back, each leg one control message of its own
-  /// size. `on_done` receives the response (a one-way exchange's
-  /// request) no sooner than both legs' one-way transfer times, after
-  /// the from->to link is free; the FIFO, injector, histogram and trace
-  /// path is the data messages'. A dropped exchange is asked again that
-  /// delay later and recharged, under the one retry rule (see Retry);
-  /// when it gives up, `on_abandon` (if any) runs instead of `on_done`.
-  void ControlRoundtrip(PeerId from, PeerId to, wire::Payload request,
-                        wire::Payload response, PayloadDeliverFn on_done,
-                        DeliverFn on_abandon = nullptr);
+                    PayloadDeliverFn on_deliver,
+                    DeliverFn on_abandon = nullptr);
 
   /// Attaches a fault injector that rules on every non-loopback message
   /// (nullptr detaches — the default, a perfect fabric).
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   /// Marks a peer crashed (`up` false) or rejoined (`up` true).
   /// Messages from a down peer are dropped at send time; messages *to*
@@ -110,7 +103,7 @@ class Network {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Lower-bound one-way delay for `bytes` on link from->to (ignoring
-  /// queueing); used by cost estimates and control-exchange floors.
+  /// queueing); used by cost estimates and shipment timeouts.
   double EstimateTransferTime(PeerId from, PeerId to,
                               uint64_t bytes) const {
     return topology_.Get(from, to).TransferTime(bytes);
@@ -122,37 +115,32 @@ class Network {
   }
 
   /// Checks the endpoints and tallies `payload`'s message class; returns
-  /// the payload shared, to ride in the delivery closure.
+  /// the payload shared, to ride in the delivery closures.
   std::shared_ptr<const wire::Payload> Admit(PeerId from, PeerId to,
                                              wire::Payload payload)
       AXML_REQUIRES(sequence_checker_);
 
-  /// Shared FIFO-link scheduling behind Send/SendReliable/
-  /// ControlRoundtrip (aggregate stats already recorded by the caller;
-  /// `kind` names the trace span: "msg", "notify" or "control").
-  /// Consults the fault injector and the peer up/down set; a dropped
-  /// message still occupies the link (it was transmitted, then lost),
-  /// is tallied via NetStats::RecordDrop + a "drop" trace span, and
-  /// fires `on_drop` (if any) at what would have been the arrival time.
-  /// `min_delay` floors the one-way delay (control exchanges take their
-  /// full latency even when transmit is negligible).
-  void ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
-                        DeliverFn on_deliver, const char* kind,
-                        SimTime min_delay = 0, DeliverFn on_drop = nullptr)
+  /// Shared FIFO-link scheduling behind Send/SendReliable: charges the
+  /// message to NetStats::Record and traces it under its class's span
+  /// kind ("msg", "notify" or "control"). Consults the fault injector
+  /// and the peer up/down set; a dropped message still occupies the
+  /// link (it was transmitted, then lost), is tallied via
+  /// NetStats::RecordDrop + a "drop" trace span, and fires `on_drop`
+  /// (if any) at what would have been the arrival time.
+  void ScheduleDelivery(PeerId from, PeerId to,
+                        std::shared_ptr<const wire::Payload> p,
+                        PayloadDeliverFn on_deliver,
+                        DeliverFn on_drop = nullptr)
       AXML_REQUIRES(sequence_checker_);
 
-  /// One attempt of a retried send — SendReliable (`control` false:
-  /// a "msg" span, retransmitted one RTO later) or ControlRoundtrip
-  /// (`control` true: a "control" span floored at `delay`, re-asked
-  /// `delay` later; `response_bytes` of its `bytes` are the response
-  /// leg). The one retry rule: a dropped attempt is sent again,
-  /// recharged as fresh traffic, while both endpoints are up; once
-  /// either is down the send stops and `on_abandon` (if any) runs.
-  /// Retrying into a crashed peer would keep the event loop alive
-  /// forever.
-  void Retry(PeerId from, PeerId to, uint64_t bytes, uint64_t response_bytes,
-             SimTime delay, bool control, DeliverFn on_deliver,
-             DeliverFn on_abandon) AXML_REQUIRES(sequence_checker_);
+  /// One attempt of SendReliable. The one retry rule: a dropped attempt
+  /// is sent again one RTO (2 x latency + transmit) later, recharged as
+  /// fresh traffic, while both endpoints are up; once either is down
+  /// the send stops and `on_abandon` (if any) runs. Retrying into a
+  /// crashed peer would keep the event loop alive forever.
+  void Retry(PeerId from, PeerId to, std::shared_ptr<const wire::Payload> p,
+             PayloadDeliverFn on_deliver, DeliverFn on_abandon)
+      AXML_REQUIRES(sequence_checker_);
 
   SequenceChecker sequence_checker_;
   EventLoop* loop_;

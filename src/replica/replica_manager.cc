@@ -1,6 +1,8 @@
 #include "replica/replica_manager.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -28,9 +30,26 @@ constexpr uint64_t kImmutableVersion = 0;
 /// unbounded chain would ship forever without ever landing fresh.
 constexpr int kMaxCatchupAttempts = 3;
 
+/// Bounded shipment retry (set_shipment_retry): attempts per shipment,
+/// and the backoff added per attempt to a shipment's timeout.
+constexpr int kShipMaxAttempts = 3;
+constexpr SimTime kShipBackoffBaseS = 0.25;
+
 ReplicaKey ShardDataKey(PeerId origin, const DocName& name,
                         const ContentDigest& id) {
   return ReplicaKey{origin, name, id.ToString()};
+}
+
+/// The cache keys a digest entry names: the document entry when it
+/// carries one (a nonzero digest), then its data shards.
+std::vector<ReplicaKey> DigestKeys(PeerId origin,
+                                   const wire::DigestExchange::Doc& d) {
+  std::vector<ReplicaKey> keys;
+  if (d.manifest != ContentDigest{}) keys.push_back(ReplicaKey{origin, d.name});
+  for (const ContentDigest& shard : d.shards) {
+    keys.push_back(ShardDataKey(origin, d.name, shard));
+  }
+  return keys;
 }
 
 /// The system's wire encode/decode accounting, nullptr for unbound
@@ -306,12 +325,13 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
   subscriptions_.Subscribe(key, reader);
   // Only a complete copy is installed; a partial one serves delta reads
   // but must never be read by name.
-  InstallAndAdvertise(reader, origin, name);
+  InstallAndAdvertise(reader, origin, name, snapshot_version);
   return true;
 }
 
 void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
-                                         const DocName& name) {
+                                         const DocName& name,
+                                         uint64_t version) {
   // The slot is taken by the reader's own document or by a copy from
   // another origin (the cache still serves repeated reads either way).
   // It is checked first: a copy built for a taken slot would only be
@@ -322,8 +342,8 @@ void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
     return;
   }
   ResidentCopy copy;
-  if (!FindResidentCopy(*CacheFor(reader), ReplicaKey{origin, name},
-                        Version(origin, name), &copy)) {
+  if (!FindResidentCopy(*CacheFor(reader), ReplicaKey{origin, name}, version,
+                        &copy)) {
     return;
   }
   // The installed document is a private instance: local reads hand
@@ -1066,7 +1086,7 @@ bool ReplicaManager::LaunchShipment(
   refresh_inflight_[{holder, key}] = generation;
   // Copies for the retry timeout below, taken before on_land moves into
   // the delivery callback.
-  auto on_land_retry = ship_max_attempts_ > 0 ? on_land : nullptr;
+  auto on_land_retry = ship_retry_ ? on_land : nullptr;
   sys_->network().Send(
       key.origin, holder, std::move(payload),
       [this, holder, key, resident_entry, generation,
@@ -1087,7 +1107,7 @@ bool ReplicaManager::LaunchShipment(
         }
         on_land(landed, landed_version, p.size());
       });
-  if (ship_max_attempts_ > 0) {
+  if (ship_retry_) {
     // Bounded retry-with-backoff: if the landing has not cleared the
     // flight token by the timeout, the shipment was dropped (injector or
     // crash). Relaunch the same admit/on_land pair — re-admitted; the
@@ -1098,7 +1118,7 @@ bool ReplicaManager::LaunchShipment(
     // generation and is discarded.
     const SimTime timeout =
         3 * sys_->network().EstimateTransferTime(key.origin, holder, bytes) +
-        ship_backoff_base_s_ * (attempt + 1);
+        kShipBackoffBaseS * (attempt + 1);
     sys_->loop().ScheduleAfter(
         timeout, [this, holder, key, generation, attempt, admit,
                   on_land = std::move(on_land_retry)] {
@@ -1112,7 +1132,7 @@ bool ReplicaManager::LaunchShipment(
             tr->Record("replica", "ship_timeout", holder, 0, 0,
                        key.ToString());
           }
-          if (attempt + 1 < ship_max_attempts_ &&
+          if (attempt + 1 < kShipMaxAttempts &&
               sys_->network().IsPeerUp(holder) &&
               sys_->network().IsPeerUp(key.origin)) {
             ++subscription_stats_.ship_retries;
@@ -1251,19 +1271,12 @@ void ReplicaManager::ConfigureLeases(SimTime renew_interval_s,
     sys_->loop().RemovePeriodic(lease_tick_id_);
     lease_tick_id_ = 0;
   }
-  lease_renew_interval_ = renew_interval_s;
   lease_ttl_ = ttl_s;
   lease_deadlines_.clear();
   if (renew_interval_s > 0 && ttl_s > 0) {
     lease_tick_id_ =
         sys_->loop().AddPeriodic(renew_interval_s, [this] { LeaseTick(); });
   }
-}
-
-void ReplicaManager::set_shipment_retry(int max_attempts,
-                                        SimTime backoff_base_s) {
-  ship_max_attempts_ = max_attempts;
-  ship_backoff_base_s_ = backoff_base_s;
 }
 
 void ReplicaManager::set_anti_entropy_interval(SimTime interval_s) {
@@ -1273,7 +1286,6 @@ void ReplicaManager::set_anti_entropy_interval(SimTime interval_s) {
     sys_->loop().RemovePeriodic(anti_entropy_tick_id_);
     anti_entropy_tick_id_ = 0;
   }
-  anti_entropy_interval_ = interval_s;
   if (interval_s > 0) {
     anti_entropy_tick_id_ = sys_->loop().AddPeriodic(
         interval_s, [this] { RunAntiEntropySweep(); });
@@ -1368,45 +1380,33 @@ void ReplicaManager::LeaseTick() {
           ++subscription_stats_.lease_renewals;
           lease_deadlines_[{origin, holder}] =
               sys_->loop().now() + lease_ttl_;
-          subscription_stats_.sweep_resubscribes +=
-              ResubscribeResident(holder, origin);
+          const TransferCache* cache = FindCache(holder);
+          if (cache == nullptr) return;
+          for (const ReplicaKey& k : cache->Keys()) {
+            // A stale document entry stays unsubscribed: it is about to
+            // be reconciled away, and would re-invite pushes for content
+            // the holder no longer serves.
+            if (k.origin != origin || subscriptions_.IsSubscribed(k, holder) ||
+                (k.is_doc() &&
+                 cache->Peek(k)->origin_version != Version(origin, k.name))) {
+              continue;
+            }
+            subscriptions_.Subscribe(k, holder);
+            ++subscription_stats_.sweep_resubscribes;
+          }
         });
   }
-}
-
-size_t ReplicaManager::ResubscribeResident(PeerId holder, PeerId origin) {
-  auto cit = caches_.find(holder);
-  if (cit == caches_.end()) return 0;
-  TransferCache* cache = cit->second.get();
-  size_t added = 0;
-  for (const ReplicaKey& k : cache->Keys()) {
-    if (k.origin != origin) continue;
-    if (!k.is_shard_data()) {
-      // Document entries re-subscribe only while fresh — a stale entry
-      // is about to be reconciled away, and subscribing it would
-      // re-invite pushes for content the holder no longer serves.
-      const TransferCache::Entry* e = cache->Peek(k);
-      if (e == nullptr || e->origin_version != Version(origin, k.name)) {
-        continue;
-      }
-    }
-    if (!subscriptions_.IsSubscribed(k, holder)) {
-      subscriptions_.Subscribe(k, holder);
-      ++added;
-    }
-  }
-  return added;
 }
 
 size_t ReplicaManager::RunAntiEntropySweep() {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr) return 0;
-  size_t repairs = 0;
+  size_t exchanges = 0;
   for (const auto& [holder, cache] : caches_) {
     if (!sys_->network().IsPeerUp(holder)) continue;
-    repairs += ReconcileHolder(holder);
+    exchanges += ReconcileHolder(holder);
   }
-  return repairs;
+  return exchanges;
 }
 
 size_t ReplicaManager::ReconcileHolder(PeerId holder) {
@@ -1414,95 +1414,131 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
   if (sys_ == nullptr) return 0;
   auto cit = caches_.find(holder);
   if (cit == caches_.end()) return 0;
-  TransferCache* cache = cit->second.get();
-
-  // Group the holder's resident keys by document.
-  std::map<ReplicaKey, std::vector<ReplicaKey>> docs;
-  std::set<PeerId> origins;
-  for (const ReplicaKey& k : cache->Keys()) {
-    docs[ReplicaKey{k.origin, k.name}].push_back(k);
-    origins.insert(k.origin);
-  }
-
-  size_t repairs = 0;
-  for (const auto& [doc, keys] : docs) {
-    const uint64_t current = Version(doc.origin, doc.name);
-    // Shard ids the origin's *current* split references; resident data
-    // shards outside this set are orphans no future manifest will name.
-    std::set<std::string> live;
-    if (const ShardedDocument* sd = OriginShards(doc.origin, doc.name)) {
-      for (const DocumentShard& s : sd->shards) {
-        live.insert(s.id.ToString());
-      }
+  // One digest per origin. Keys iterate in (origin, name, shard) order,
+  // a document's entry before its data shards.
+  std::map<PeerId, wire::DigestExchange> digests;
+  for (const ReplicaKey& k : cit->second->Keys()) {
+    const TransferCache::Entry* e = cit->second->Peek(k);
+    wire::DigestExchange& ex = digests[k.origin];
+    ex.holder = holder.index();
+    ex.origin = k.origin.index();
+    if (ex.docs.empty() || ex.docs.back().name != k.name) {
+      ex.docs.emplace_back().name = k.name;
     }
+    wire::DigestExchange::Doc& d = ex.docs.back();
+    if (k.is_shard_data()) {
+      d.shards.push_back(e->digest);
+    } else {
+      d.version = e->origin_version;
+      d.manifest = e->digest;
+    }
+  }
+  size_t exchanges = 0;
+  for (auto& [origin, ex] : digests) {
+    if (!sys_->network().IsPeerUp(origin)) continue;
+    auto sent = std::make_shared<const wire::DigestExchange>(std::move(ex));
+    sys_->network().SendReliable(
+        holder, origin, wire::EncodeDigestExchange(*sent, WireStatsOf(sys_)),
+        [this, holder, origin, sent](const wire::Payload& request) {
+          sys_->network().SendReliable(
+              origin, holder, DigestAnswer(request),
+              [this, holder, sent](const wire::Payload& answer) {
+                RepairFromAnswer(holder, *sent, answer);
+              });
+        });
+    ++exchanges;
+  }
+  return exchanges;
+}
+
+wire::Payload ReplicaManager::DigestAnswer(
+    const wire::Payload& request) const {
+  Result<wire::DigestExchange> got =
+      wire::DecodeDigestExchange(request, WireStatsOf(sys_));
+  AXML_CHECK(got.ok()) << got.status().ToString();
+  const PeerId origin(got->origin);
+  wire::DigestExchange answer{got->holder, got->origin, {}};
+  for (wire::DigestExchange::Doc& d : got->docs) {
+    wire::DigestExchange::Doc differs;
+    // A stale entry is named at the version and digest it was sent at.
+    if (d.manifest != ContentDigest{} && d.version != Version(origin, d.name)) {
+      differs.version = d.version;
+      differs.manifest = d.manifest;
+    }
+    // An orphaned shard is one the current split no longer references.
+    std::set<ContentDigest> live;
+    if (const ShardedDocument* sd =
+            d.shards.empty() ? nullptr : OriginShards(origin, d.name)) {
+      for (const DocumentShard& s : sd->shards) live.insert(s.id);
+    }
+    for (const ContentDigest& shard : d.shards) {
+      if (live.count(shard) == 0) differs.shards.push_back(shard);
+    }
+    if (differs.manifest != ContentDigest{} || !differs.shards.empty()) {
+      differs.name = std::move(d.name);
+      answer.docs.push_back(std::move(differs));
+    }
+  }
+  return wire::EncodeDigestExchange(answer, WireStatsOf(sys_));
+}
+
+void ReplicaManager::RepairFromAnswer(PeerId holder,
+                                      const wire::DigestExchange& sent,
+                                      const wire::Payload& answer) {
+  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+  Result<wire::DigestExchange> got =
+      wire::DecodeDigestExchange(answer, WireStatsOf(sys_));
+  AXML_CHECK(got.ok()) << got.status().ToString();
+  TransferCache* cache = caches_.at(holder).get();  // never erased
+  const PeerId origin(got->origin);
+  // Whether `k` still holds what the digest sent: a document entry its
+  // version and digest, a (content-addressed) data shard its presence.
+  auto holds = [cache](const ReplicaKey& k,
+                       const wire::DigestExchange::Doc& d) {
+    const TransferCache::Entry* e = cache->Peek(k);
+    return e != nullptr &&
+           (k.is_shard_data() ||
+            (e->origin_version == d.version && e->digest == d.manifest));
+  };
+  // Drop exactly the named entries unchanged since the digest left.
+  // Erase fires the evict listener, which may drop further keys, so each
+  // one is looked up again.
+  std::set<ReplicaKey> named;
+  for (const wire::DigestExchange::Doc& d : got->docs) {
     bool dropped_doc = false;
-    for (const ReplicaKey& k : keys) {
-      const TransferCache::Entry* e = cache->Peek(k);
-      if (e == nullptr) continue;  // evicted by an earlier repair
-      const bool stale = k.is_shard_data()
-                             ? live.count(k.shard) == 0
-                             : e->origin_version != current;
-      if (!stale) continue;
-      const uint64_t bytes = e->bytes;  // `e` dies with the erase
-      // Evict listener unsubscribes + retracts advertisements.
+    for (const ReplicaKey& k : DigestKeys(origin, d)) {
+      named.insert(k);
+      if (!holds(k, d)) continue;
+      const uint64_t bytes = cache->Peek(k)->bytes;
       cache->Erase(k, /*invalidation=*/true);
-      ++repairs;
       ++subscription_stats_.sweep_repairs;
-      if (!k.is_shard_data()) dropped_doc = true;
+      dropped_doc = dropped_doc || k.is_doc();
       if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
         tr->Record("replica", "repair", holder, bytes, 0, k.ToString());
       }
     }
-    // A surviving fresh complete copy whose name slot is free is
-    // re-installed and re-advertised — a rejoining durable cache kept
-    // the content but lost its installation at crash time.
-    InstallAndAdvertise(holder, doc.origin, doc.name);
     // A dropped stale copy re-materializes eagerly under kEagerRefresh,
     // exactly as a mutation-time drop would have.
+    const ReplicaKey doc{origin, d.name};
     if (dropped_doc && refresh_policy_ == RefreshPolicy::kEagerRefresh &&
         StartRefresh(holder, doc, /*attempt=*/0)) {
       subscriptions_.Subscribe(doc, holder);
     }
   }
-
-  // Repair origin-side subscription state and charge the digest
-  // exchange: one control roundtrip per (holder, origin) pair, carrying
-  // a real encoded DigestExchange — per surviving document the entry
-  // version + digest and each resident shard digest, priced at the
-  // actual encoded bytes. The holder's own digest stands in for the
-  // response leg: the origin answers digest-for-digest.
-  for (PeerId origin : origins) {
-    subscription_stats_.sweep_resubscribes +=
-        ResubscribeResident(holder, origin);
-    if (origin == holder || !sys_->network().IsPeerUp(origin)) continue;
-    wire::DigestExchange ex;
-    ex.holder = holder.index();
-    ex.origin = origin.index();
-    for (const auto& [doc, keys] : docs) {
-      if (doc.origin != origin) continue;
-      wire::DigestExchange::Doc d;
-      d.name = doc.name;
-      bool any = false;
-      for (const ReplicaKey& k : keys) {
-        const TransferCache::Entry* e = cache->Peek(k);
-        if (e == nullptr) continue;  // reconciled away above
-        any = true;
-        if (k.is_shard_data()) {
-          d.shards.push_back(e->digest);
-        } else {
-          d.version = e->origin_version;
-          d.manifest = e->digest;
-        }
+  // Every other entry sent that still holds what was sent is confirmed:
+  // a lapsed subscription is repaired, and a complete copy whose name
+  // slot is free is re-installed and re-advertised (a rejoining durable
+  // cache kept the content but lost its installation).
+  for (const wire::DigestExchange::Doc& d : sent.docs) {
+    for (const ReplicaKey& k : DigestKeys(origin, d)) {
+      if (named.count(k) > 0 || !holds(k, d)) continue;
+      if (!subscriptions_.IsSubscribed(k, holder)) {
+        subscriptions_.Subscribe(k, holder);
+        ++subscription_stats_.sweep_resubscribes;
       }
-      if (any) ex.docs.push_back(std::move(d));
+      if (k.is_doc()) InstallAndAdvertise(holder, origin, d.name, d.version);
     }
-    wire::Payload payload =
-        wire::EncodeDigestExchange(ex, WireStatsOf(sys_));
-    wire::Payload echo = payload;
-    sys_->network().ControlRoundtrip(holder, origin, std::move(payload),
-                                     std::move(echo), nullptr);
   }
-  return repairs;
 }
 
 void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
@@ -1555,10 +1591,10 @@ void ReplicaManager::OnPeerRejoin(PeerId peer) {
   if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
     tr->Record("replica", "rejoin", peer, 0, 0, "");
   }
-  // Reconcile the surviving cache against every origin *before* the
-  // peer serves anything: stale entries drop, fresh complete copies
-  // re-install and re-advertise, subscriptions repair. A rejoining
-  // peer can never serve the state it crashed with unverified.
+  // Reconcile the surviving cache against every origin: stale entries
+  // drop and fresh complete copies re-install and re-advertise as each
+  // origin's answer lands, so nothing the peer crashed with is
+  // advertised before its origin has confirmed it.
   ReconcileHolder(peer);
 }
 

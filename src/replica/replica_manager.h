@@ -85,6 +85,7 @@
 #include "replica/transfer_cache.h"
 #include "xml/sharding.h"
 #include "xml/tree.h"
+#include "xml/wire.h"
 
 namespace axml {
 
@@ -177,7 +178,6 @@ class ReplicaManager {
   void set_refresh_budget_bytes(uint64_t bytes) {
     refresh_budget_bytes_ = bytes;
   }
-  uint64_t refresh_budget_bytes() const { return refresh_budget_bytes_; }
 
   const SubscriptionStats& subscription_stats() const {
     return subscription_stats_;
@@ -207,42 +207,35 @@ class ReplicaManager {
   /// so an idle loop still quiesces. 0/0 (the default) disables leases
   /// and clears all deadlines. Requires a bound system.
   void ConfigureLeases(SimTime renew_interval_s, SimTime ttl_s);
-  SimTime lease_renew_interval() const { return lease_renew_interval_; }
-  SimTime lease_ttl() const { return lease_ttl_; }
 
   /// Bounded retry-with-backoff for refresh/placement shipments: when
-  /// `max_attempts` > 0, every launched shipment arms a timeout of
-  /// 3 x the estimated transfer time + `backoff_base_s` x attempt
-  /// number; a shipment whose landing never fired (dropped by the fault
-  /// injector or a crashed endpoint) is relaunched up to `max_attempts`
-  /// total attempts, then the holder falls back to lazy pulls
-  /// (SubscriptionStats::dropped_to_lazy). Default: off — a dropped
-  /// shipment would just never land.
-  void set_shipment_retry(int max_attempts, SimTime backoff_base_s);
-  int shipment_retry_attempts() const { return ship_max_attempts_; }
+  /// on, every launched shipment arms a timeout of 3 x the estimated
+  /// transfer time + 0.25 s x attempt number; a shipment whose landing
+  /// never fired (dropped by the fault injector or a crashed endpoint)
+  /// is relaunched up to 3 total attempts, then the holder falls back
+  /// to lazy pulls (SubscriptionStats::dropped_to_lazy). Default: off —
+  /// a dropped shipment would just never land.
+  void set_shipment_retry(bool enabled) { ship_retry_ = enabled; }
 
   /// Periodic anti-entropy: every `interval_s` of virtual time, every up
-  /// holder reconciles its cache against the origins (ReconcileHolder),
-  /// charging one control roundtrip per (holder, origin) pair. 0 (the
-  /// default) disables the tick; RunAntiEntropySweep stays callable
-  /// manually. Requires a bound system.
+  /// holder starts a digest exchange with its origins (ReconcileHolder).
+  /// 0 (the default) disables the tick; RunAntiEntropySweep stays
+  /// callable manually. Requires a bound system.
   void set_anti_entropy_interval(SimTime interval_s);
-  SimTime anti_entropy_interval() const { return anti_entropy_interval_; }
 
-  /// One sweep over every up holder's cache. Returns entries repaired
-  /// (stale or orphaned entries dropped).
+  /// ReconcileHolder for every up holder. Returns the exchanges sent;
+  /// repairs happen as answers land (SubscriptionStats::sweep_repairs).
   size_t RunAntiEntropySweep();
 
-  /// Reconciles one holder's cache against current origin state,
-  /// shard-granularly: stale document entries (origin version moved on)
-  /// and orphaned data shards (no longer referenced by the origin's
-  /// current split) are dropped; surviving fresh entries
-  /// are re-subscribed at the origin (repairing subscriptions lost to
-  /// lease expiry or crash) and a complete fresh copy whose local name
-  /// slot is free is re-installed and re-advertised. Under
-  /// kEagerRefresh, dropped stale copies start a re-materializing
-  /// shipment. Charges one control roundtrip per (holder, origin) pair
-  /// compared. Returns entries dropped.
+  /// Reconciles one holder's cache against its origins, shard-
+  /// granularly: the holder sends each up origin a DigestExchange of its
+  /// resident entries (loopback when it is its own origin); the origin,
+  /// as it lands, answers with only the stale document entries and
+  /// orphaned data shards (DigestAnswer); the holder, as the answer
+  /// lands, drops exactly those, re-subscribes and re-installs what was
+  /// confirmed, and under kEagerRefresh re-ships dropped copies
+  /// (RepairFromAnswer). An abandoned exchange repairs nothing. Returns
+  /// the number of exchanges sent.
   size_t ReconcileHolder(PeerId holder);
 
   /// Peer-churn hooks (AxmlSystem::CrashPeer/RejoinPeer call these after
@@ -252,9 +245,10 @@ class ReplicaManager {
   /// kLoseCache wipes its transfer cache. Origin-side subscriptions of a
   /// durable-cache peer survive — leases or rejoin clean them up.
   void OnPeerCrash(PeerId peer, CrashMode mode);
-  /// Rejoin reconciles the surviving cache (ReconcileHolder) before
-  /// anything is re-advertised — a rejoining peer can never serve the
-  /// stale state it crashed with.
+  /// Rejoin starts reconciling the surviving cache (ReconcileHolder);
+  /// a copy is re-installed and re-advertised only once its origin's
+  /// answer confirms it — a rejoining peer can never serve the stale
+  /// state it crashed with.
   void OnPeerRejoin(PeerId peer);
 
   /// Arrival hook of an invalidation notification (wired as the notify
@@ -335,7 +329,6 @@ class ReplicaManager {
 
   /// Budget applied to caches created after this call.
   void set_default_byte_budget(uint64_t bytes) { default_budget_ = bytes; }
-  uint64_t default_byte_budget() const { return default_budget_; }
 
   /// Victim-selection policy for the transfer caches. Applies to caches
   /// created later *and* switches every existing cache (recency and
@@ -515,11 +508,12 @@ class ReplicaManager {
   void RetractAdvertisements(PeerId reader, const ReplicaKey& key);
 
   /// Installs a private instance of reader's complete resident copy of
-  /// origin's `name` as reader's local document and advertises it
-  /// (catalog + the origin's generic classes). No-op when the name slot
-  /// is taken or the copy is incomplete.
+  /// origin's `name` at `version` as reader's local document and
+  /// advertises it (catalog + the origin's generic classes). No-op when
+  /// the name slot is taken or no complete copy at that version is
+  /// resident.
   void InstallAndAdvertise(PeerId reader, PeerId origin,
-                           const DocName& name);
+                           const DocName& name, uint64_t version);
 
   /// Decodes a payload that landed at `holder` into the holder's own
   /// node ids: a kTree payload (a whole-document read) or a shipment
@@ -616,11 +610,14 @@ class ReplicaManager {
           on_land,
       int attempt = 0);
 
-  /// The lease tick body (renewals + expiries), and a helper shared
-  /// with reconciliation that re-subscribes a holder's resident fresh
-  /// entries of `origin`, returning how many were newly subscribed.
+  /// The lease tick body (renewals + expiries).
   void LeaseTick();
-  size_t ResubscribeResident(PeerId holder, PeerId origin);
+
+  /// Anti-entropy (ReconcileHolder): the origin's answer to a digest
+  /// `request`; the holder's repair from what it `sent` and the answer.
+  wire::Payload DigestAnswer(const wire::Payload& request) const;
+  void RepairFromAnswer(PeerId holder, const wire::DigestExchange& sent,
+                        const wire::Payload& answer);
 
   SequenceChecker sequence_checker_;
   /// (owner, name) keys whose NoteMutation fan-out is running right now.
@@ -654,16 +651,13 @@ class ReplicaManager {
   uint64_t uncached_misses_ = 0;
 
   // Fault-tolerance knobs (all off by default; see the public block).
-  SimTime lease_renew_interval_ = 0;
   SimTime lease_ttl_ = 0;
   uint64_t lease_tick_id_ = 0;  ///< EventLoop periodic id; 0 = none
   /// (origin, holder) -> virtual time the lease lapses. Granted lazily
   /// on first sight of a subscription pair, re-armed by each renewal
   /// arrival.
   std::map<std::pair<PeerId, PeerId>, SimTime> lease_deadlines_;
-  int ship_max_attempts_ = 0;
-  SimTime ship_backoff_base_s_ = 0;
-  SimTime anti_entropy_interval_ = 0;
+  bool ship_retry_ = false;
   uint64_t anti_entropy_tick_id_ = 0;
 
   PlacementPolicy placement_;

@@ -55,8 +55,7 @@ FleetHarness::FleetHarness(FleetConfig config)
     // bounded shipment retries, periodic anti-entropy sweeps.
     sys_.replicas().ConfigureLeases(/*renew_interval_s=*/0.5,
                                     /*ttl_s=*/2.0);
-    sys_.replicas().set_shipment_retry(/*max_attempts=*/3,
-                                       /*backoff_base_s=*/0.25);
+    sys_.replicas().set_shipment_retry(true);
     sys_.replicas().set_anti_entropy_interval(2.0);
   }
 

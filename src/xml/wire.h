@@ -61,6 +61,18 @@ inline constexpr size_t kMessageClassCount = 7;
 /// Stable lowercase name for metrics and traces ("tree", "notify", ...).
 const char* MessageClassName(MessageClass c);
 
+/// How the network tallies and traces a message, by its class: catalog
+/// messages and anti-entropy digests are control traffic (NetStats'
+/// control counters, "control" spans), invalidation notifies are data
+/// traced as "notify", and every other class is data ("msg").
+enum class Traffic : uint8_t { kData, kNotify, kControl };
+inline Traffic TrafficOf(MessageClass c) {
+  if (c == MessageClass::kCatalog || c == MessageClass::kDigest) {
+    return Traffic::kControl;
+  }
+  return c == MessageClass::kNotify ? Traffic::kNotify : Traffic::kData;
+}
+
 /// Encode/decode observability. Deterministic counters are always on;
 /// the wall-clock latency histograms only fill when `timing_enabled`
 /// (bench_wire turns it on) so twin simulations stay byte-identical.

@@ -237,7 +237,7 @@ TEST(NetworkFaultTest, SendReliableOutlivesAPartitionWindow) {
   EXPECT_GT(inj.stats().partition_dropped, 0u);
 }
 
-TEST(NetworkFaultTest, ControlRoundtripRetriesThroughLoss) {
+TEST(NetworkFaultTest, ControlExchangeRetriesEachLegThroughLoss) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.01, 1e6}));
   Rng rng(19);
@@ -248,16 +248,23 @@ TEST(NetworkFaultTest, ControlRoundtripRetriesThroughLoss) {
   net.set_fault_injector(&inj);
 
   bool done = false;
-  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
-                       PayloadOfSize(64),
-                       [&](const wire::Payload&) { done = true; });
+  net.SendReliable(
+      PeerId(0), PeerId(1), PayloadOfSize(64, wire::MessageClass::kDigest),
+      [&](const wire::Payload& request) {
+        net.SendReliable(
+            PeerId(1), PeerId(0),
+            PayloadOfSize(request.size(), wire::MessageClass::kDigest),
+            [&](const wire::Payload&) { done = true; });
+      });
   loop.Run();
   EXPECT_TRUE(done);
-  // Each retry charges the 2-message exchange afresh.
+  EXPECT_GT(net.stats().dropped_messages(), 0u);
+  // Each leg is retried on its own: every drop charges one more 64-byte
+  // control message, and each leg lands once.
   EXPECT_EQ(net.stats().control_messages(),
-            2 * (net.stats().dropped_messages() + 1));
+            net.stats().dropped_messages() + 2);
   EXPECT_EQ(net.stats().control_bytes(),
-            128 * (net.stats().dropped_messages() + 1));
+            64 * (net.stats().dropped_messages() + 2));
 }
 
 TEST(NetworkFaultTest, SendToDownPeerDropsAndCrashInFlightDropsOnArrival) {
@@ -303,18 +310,19 @@ TEST(NetworkFaultTest, SendReliableAbandonsACrashedDestination) {
   EXPECT_FALSE(delivered);
 }
 
-TEST(NetworkFaultTest, ControlRoundtripAbandonsACrashedDestination) {
-  // The same give-up rule as SendReliable: a live requester does not
-  // re-ask a crashed peer forever. The abandon callback reports it, once.
+TEST(NetworkFaultTest, ControlSendAbandonsACrashedDestinationOnce) {
+  // The one give-up rule, for control messages as for data: a live
+  // requester does not re-ask a crashed peer forever. The abandon
+  // callback reports it, once.
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.01, 1e6}));
   net.SetPeerUp(PeerId(1), false);
   bool done = false;
   int abandoned = 0;
-  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
-                       PayloadOfSize(64),
-                       [&](const wire::Payload&) { done = true; },
-                       [&] { ++abandoned; });
+  net.SendReliable(PeerId(0), PeerId(1),
+                   PayloadOfSize(64, wire::MessageClass::kCatalog),
+                   [&](const wire::Payload&) { done = true; },
+                   [&] { ++abandoned; });
   loop.Run();
   EXPECT_FALSE(done);
   EXPECT_EQ(abandoned, 1);
@@ -339,11 +347,19 @@ TEST(NetworkFaultTest, IdleInjectorIsByteIdenticalToNoInjector) {
                      [&arrivals, &loop](const wire::Payload&) {
                        arrivals.push_back(loop.now());
                      });
-    net.ControlRoundtrip(PeerId(1), PeerId(0), PayloadOfSize(64),
-                         PayloadOfSize(64),
-                         [&arrivals, &loop](const wire::Payload&) {
-                           arrivals.push_back(loop.now());
-                         });
+    // A control exchange: the answer leaves as the request lands.
+    net.SendReliable(
+        PeerId(1), PeerId(0), PayloadOfSize(64, wire::MessageClass::kCatalog),
+        [&net, &arrivals, &loop](const wire::Payload& request) {
+          net.SendReliable(
+              PeerId(0), PeerId(1),
+              PayloadOfSize(request.size(), wire::MessageClass::kCatalog),
+              [&arrivals, &loop](const wire::Payload&) {
+                arrivals.push_back(loop.now());
+              },
+              [] {});
+        },
+        [] {});
     loop.Run();
     return std::make_tuple(arrivals, loop.now(), net.stats().ToString());
   };

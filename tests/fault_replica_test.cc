@@ -315,17 +315,103 @@ TEST(AntiEntropyTest, SweepDropsStaleSurvivorsAndChargesDigestTraffic) {
   ASSERT_FALSE(p.sys.replicas().HasFresh(p.reader, p.origin, "d"));
 
   const uint64_t control_before = p.sys.network().stats().control_messages();
+  // One exchange: the reader holds copies of one origin.
   EXPECT_EQ(p.sys.replicas().RunAntiEntropySweep(), 1u);
   p.sys.RunToQuiescence();
-  EXPECT_GT(p.sys.replicas().subscription_stats().sweep_repairs, 0u);
-  // The digest comparison is not free: one control roundtrip per
-  // (holder, origin) pair compared.
-  EXPECT_GT(p.sys.network().stats().control_messages(), control_before);
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 1u);
+  // The digest comparison is not free: a digest to the origin and its
+  // answer back, each a control message.
+  EXPECT_EQ(p.sys.network().stats().control_messages(), control_before + 2);
   const TransferCache* cache = p.sys.replicas().FindCache(p.reader);
   ASSERT_NE(cache, nullptr);
   EXPECT_TRUE(cache->Keys().empty());
-  // A second sweep over the now-clean cache repairs nothing.
+  // A second sweep over the now-empty cache has nothing to send and
+  // repairs nothing.
   EXPECT_EQ(p.sys.replicas().RunAntiEntropySweep(), 0u);
+  p.sys.RunToQuiescence();
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 1u);
+}
+
+TEST(AntiEntropyTest, AStaleEntryStaysResidentUntilTheAnswerLands) {
+  Pair p(RefreshPolicy::kLazy);
+  ASSERT_TRUE(p.CacheCopy());
+  p.Mutate(/*rev=*/2);
+  const TransferCache* cache = p.sys.replicas().FindCache(p.reader);
+  ASSERT_NE(cache, nullptr);
+
+  ASSERT_EQ(p.sys.replicas().RunAntiEntropySweep(), 1u);
+  // The holder decides nothing before the origin has answered.
+  EXPECT_EQ(cache->Keys().size(), 1u);
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 0u);
+  p.sys.RunToQuiescence();
+  EXPECT_TRUE(cache->Keys().empty());
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 1u);
+}
+
+TEST(AntiEntropyTest, ASweepWhoseOriginCrashesBeforeAnsweringRepairsNothing) {
+  Pair p(RefreshPolicy::kLazy);
+  ASSERT_TRUE(p.CacheCopy());
+  p.Mutate(/*rev=*/2);
+  const TransferCache* cache = p.sys.replicas().FindCache(p.reader);
+  ASSERT_NE(cache, nullptr);
+
+  ASSERT_EQ(p.sys.replicas().RunAntiEntropySweep(), 1u);
+  // The digest is on the wire when the origin goes down: it evaporates
+  // on arrival, the exchange is abandoned, and nothing is repaired.
+  p.sys.CrashPeer(p.origin, CrashMode::kDurableCache);
+  p.sys.RunToQuiescence();
+  EXPECT_EQ(cache->Keys().size(), 1u);
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 0u);
+  EXPECT_GT(p.sys.network().stats().dropped_messages(), 0u);
+
+  // Once the origin is back, the next sweep repairs it.
+  p.sys.RejoinPeer(p.origin);
+  ASSERT_EQ(p.sys.replicas().RunAntiEntropySweep(), 1u);
+  p.sys.RunToQuiescence();
+  EXPECT_TRUE(cache->Keys().empty());
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 1u);
+}
+
+TEST(AntiEntropyTest, ACopyMutatedAfterTheAnswerKeepsItsEntryUntilTheNextSweep) {
+  Pair p(RefreshPolicy::kLazy);
+  ASSERT_TRUE(p.CacheCopy());
+  const TransferCache* cache = p.sys.replicas().FindCache(p.reader);
+  ASSERT_NE(cache, nullptr);
+
+  ASSERT_EQ(p.sys.replicas().RunAntiEntropySweep(), 1u);
+  // The digest lands and the origin answers: nothing differs yet.
+  ASSERT_TRUE(p.sys.loop().RunOne());
+  // The origin moves on while its answer is on the wire.
+  p.Mutate(/*rev=*/2);
+  p.sys.RunToQuiescence();
+  // The answer named nothing, so the holder dropped nothing; the stale
+  // entry is never served (reads check the version).
+  EXPECT_EQ(cache->Keys().size(), 1u);
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 0u);
+  EXPECT_FALSE(p.sys.replicas().HasFresh(p.reader, p.origin, "d"));
+
+  // The next sweep compares against the new version and drops it.
+  ASSERT_EQ(p.sys.replicas().RunAntiEntropySweep(), 1u);
+  p.sys.RunToQuiescence();
+  EXPECT_TRUE(cache->Keys().empty());
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 1u);
+}
+
+TEST(AntiEntropyTest, AnAnswerDropsNothingTheHolderReplacedSinceItsDigestLeft) {
+  Pair p(RefreshPolicy::kLazy);
+  ASSERT_TRUE(p.CacheCopy());
+  p.Mutate(/*rev=*/2);
+
+  ASSERT_EQ(p.sys.replicas().RunAntiEntropySweep(), 1u);
+  // The digest lands; the origin answers that the version-1 entry is
+  // stale.
+  ASSERT_TRUE(p.sys.loop().RunOne());
+  // The holder re-caches the current version before the answer lands.
+  ASSERT_TRUE(p.CacheCopy());
+  p.sys.RunToQuiescence();
+  // The answer named the entry the digest carried, not this one.
+  EXPECT_EQ(p.sys.replicas().subscription_stats().sweep_repairs, 0u);
+  EXPECT_TRUE(p.sys.replicas().HasFresh(p.reader, p.origin, "d"));
 }
 
 TEST(AntiEntropyTest, PeriodicSweepRidesTheEventLoop) {

@@ -248,13 +248,20 @@ TEST(NetworkTest, StatsAccounting) {
 
 TEST(NetStatsTest, ResetClearsEveryCounterPairAndHistogram) {
   NetStats s;
-  s.Record(PeerId(0), PeerId(1), 100);
-  s.Record(PeerId(2), PeerId(2), 50);
-  for (int i = 0; i < 3; ++i) s.RecordControl(64);  // feeds the histogram
-  s.Record(PeerId(1), PeerId(0), 48);  // a notify: its link half ...
+  s.Record(PeerId(0), PeerId(1), wire::MessageClass::kQuery, 100);
+  s.Record(PeerId(2), PeerId(2), wire::MessageClass::kQuery, 50);
+  // Control messages feed the histogram and the control counters only.
+  for (int i = 0; i < 3; ++i) {
+    s.Record(PeerId(0), PeerId(1), wire::MessageClass::kCatalog, 64);
+  }
+  // A notify: its link half ...
+  s.Record(PeerId(1), PeerId(0), wire::MessageClass::kNotify, 48);
   s.RecordPayload(wire::MessageClass::kNotify, 48);  // ... and its class
   s.RecordDrop(100);
   ASSERT_EQ(s.total_messages(), 3u);
+  ASSERT_EQ(s.control_messages(), 3u);
+  ASSERT_EQ(s.control_bytes(), 192u);
+  ASSERT_EQ(s.Pair(PeerId(0), PeerId(1)).messages, 1u);
   ASSERT_EQ(s.message_bytes_histogram().count(), 6u);
   ASSERT_EQ(s.dropped_messages(), 1u);
   ASSERT_EQ(s.dropped_bytes(), 100u);
@@ -279,7 +286,7 @@ TEST(NetStatsTest, ResetClearsEveryCounterPairAndHistogram) {
   EXPECT_EQ(s.message_bytes_histogram().sum(), 0u);
 
   // A reset object keeps working.
-  s.Record(PeerId(0), PeerId(1), 7);
+  s.Record(PeerId(0), PeerId(1), wire::MessageClass::kQuery, 7);
   EXPECT_EQ(s.total_bytes(), 7u);
   EXPECT_EQ(s.message_bytes_histogram().count(), 1u);
 }
@@ -289,28 +296,42 @@ TEST(NetStatsDeathTest, NonConcretePeerInPairTripsTheDcheck) {
   // kInvalidIndex / kAnyIndex would silently alias distinct bogus pairs
   // onto shared map slots — the DCHECK turns that into a loud failure.
   NetStats s;
-  EXPECT_DEATH(s.Record(PeerId::Invalid(), PeerId(1), 10), "non-peer");
-  EXPECT_DEATH(s.Record(PeerId(0), PeerId::Any(), 10), "non-peer");
+  EXPECT_DEATH(
+      s.Record(PeerId::Invalid(), PeerId(1), wire::MessageClass::kQuery, 10),
+      "non-peer");
+  EXPECT_DEATH(
+      s.Record(PeerId(0), PeerId::Any(), wire::MessageClass::kQuery, 10),
+      "non-peer");
   EXPECT_DEATH(s.Pair(PeerId::Invalid(), PeerId::Invalid()), "non-peer");
 }
 #endif
 
-TEST(NetworkTest, ControlRoundtrip) {
+TEST(NetworkTest, ControlExchange) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.001, 1e6}));
   size_t answered = 0;
-  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
-                       PayloadOfSize(128),
-                       [&](const wire::Payload& p) { answered = p.size(); });
+  // A 64-byte control request; its receiver answers with twice its size.
+  net.SendReliable(
+      PeerId(0), PeerId(1),
+      PayloadOfSize(64, wire::MessageClass::kCatalog),
+      [&](const wire::Payload& request) {
+        net.SendReliable(
+            PeerId(1), PeerId(0),
+            PayloadOfSize(2 * request.size(), wire::MessageClass::kCatalog),
+            [&](const wire::Payload& p) { answered = p.size(); });
+      });
   loop.Run();
-  // The requester receives the response.
+  // The requester receives the answer.
   EXPECT_EQ(answered, 128u);
-  // Both legs' one-way transfer times (0.001 + 64 / 1e6, then
-  // 0.001 + 128 / 1e6) exceed the anchor link's transmit + latency for
-  // all 192 bytes, so completion lands exactly at their sum.
+  // Each leg takes its own link's transfer time: 0.001 + 64 / 1e6 out,
+  // then 0.001 + 128 / 1e6 back.
   EXPECT_DOUBLE_EQ(loop.now(), 0.002 + 192.0 / 1e6);
   EXPECT_EQ(net.stats().control_messages(), 2u);
   EXPECT_EQ(net.stats().control_bytes(), 192u);
+  // Control traffic has no data, remote or per-pair tally.
+  EXPECT_EQ(net.stats().total_messages(), 0u);
+  EXPECT_EQ(net.stats().remote_bytes(), 0u);
+  EXPECT_EQ(net.stats().Pair(PeerId(0), PeerId(1)).messages, 0u);
   // Each leg feeds the shared message-size histogram at its own size,
   // and both are tallied under their message class.
   EXPECT_EQ(net.stats().message_bytes_histogram().count(), 2u);
@@ -318,13 +339,12 @@ TEST(NetworkTest, ControlRoundtrip) {
   const Histogram& h = net.stats().message_bytes_histogram();
   EXPECT_EQ(h.bucket(Histogram::BucketIndex(64)), 1u);
   EXPECT_EQ(h.bucket(Histogram::BucketIndex(128)), 1u);
-  EXPECT_EQ(net.stats().class_messages(wire::MessageClass::kQuery), 2u);
-  EXPECT_EQ(net.stats().class_bytes(wire::MessageClass::kQuery), 192u);
+  EXPECT_EQ(net.stats().class_messages(wire::MessageClass::kCatalog), 2u);
+  EXPECT_EQ(net.stats().class_bytes(wire::MessageClass::kCatalog), 192u);
 }
 
-TEST(NetworkTest, ControlRoundtripQueuesBehindAnchorLink) {
-  // Pre-PR the roundtrip was a bare ScheduleAt and ignored link
-  // occupancy; now it routes through the same per-link FIFO as data.
+TEST(NetworkTest, ControlExchangeQueuesBehindDataOnItsLink) {
+  // A control message routes through the same per-link FIFO as data.
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.001, 1e3}));  // 1 KB/s: slow
   bool data = false;
@@ -333,15 +353,40 @@ TEST(NetworkTest, ControlRoundtripQueuesBehindAnchorLink) {
   net.Send(PeerId(0), PeerId(1), PayloadOfSize(1000),
            [&](const wire::Payload&) { data = true; });
   // A one-way control message.
-  net.ControlRoundtrip(PeerId(0), PeerId(1), PayloadOfSize(64),
-                       wire::Payload(),
-                       [&](const wire::Payload&) { control = true; });
+  net.SendReliable(PeerId(0), PeerId(1),
+                   PayloadOfSize(64, wire::MessageClass::kDigest),
+                   [&](const wire::Payload&) { control = true; });
   loop.Run();
   EXPECT_TRUE(data);
   EXPECT_TRUE(control);
-  // The control exchange starts only after the 1 s data transmit frees
+  // The control message starts only after the 1 s data transmit frees
   // the 0->1 link: 1.0 (queue) + 64/1e3 + 0.001 = 1.065.
   EXPECT_DOUBLE_EQ(loop.now(), 1.0 + 0.065);
+}
+
+TEST(NetworkTest, ExchangeAnswerQueuesBehindDataOnTheReverseLink) {
+  // The answer is a message of its own on the receiver's link: it
+  // waits for whatever data that link is already carrying.
+  EventLoop loop;
+  Network net(&loop, Topology(LinkParams{0.001, 1e3}));  // 1 KB/s: slow
+  // 1 s of data on the reverse link 1->0.
+  net.Send(PeerId(1), PeerId(0), PayloadOfSize(1000), nullptr);
+  SimTime request_landed = 0;
+  SimTime answered = 0;
+  net.SendReliable(
+      PeerId(0), PeerId(1), PayloadOfSize(64, wire::MessageClass::kCatalog),
+      [&](const wire::Payload& request) {
+        request_landed = loop.now();
+        net.SendReliable(
+            PeerId(1), PeerId(0),
+            PayloadOfSize(request.size(), wire::MessageClass::kCatalog),
+            [&](const wire::Payload&) { answered = loop.now(); });
+      });
+  loop.Run();
+  // The request's own link is idle: 64/1e3 + 0.001.
+  EXPECT_DOUBLE_EQ(request_landed, 0.065);
+  // The answer starts once the 1->0 data transmit ends at 1.0.
+  EXPECT_DOUBLE_EQ(answered, 1.0 + 0.065);
 }
 
 // --- Catalogs ---
@@ -388,6 +433,28 @@ TEST_F(CatalogKindTest, CentralChargesRoundTripToServer) {
   const SimTime remote = loop_.now();
   LookupSync(cat, ResourceKind::kDocument, "d", PeerId(0), net);
   EXPECT_LT(loop_.now() - remote, remote);
+}
+
+TEST_F(CatalogKindTest, CentralAnswersFromItsIndexWhenTheRequestLands) {
+  Network net(&loop_, Topology(LinkParams{0.020, 1e6}));
+  CentralCatalog cat(PeerId(0));
+  cat.set_peer_count(10);
+  cat.Register(ResourceKind::kDocument, "d", PeerId(3));
+  std::vector<PeerId> got;
+  int calls = 0;
+  cat.Lookup(ResourceKind::kDocument, "d", PeerId(5), &net,
+             [&](const std::vector<PeerId>& h) {
+               ++calls;
+               got = h;
+             });
+  // Registered after the lookup left, before its request lands: the
+  // server's answer is built on arrival, so it lists this holder too.
+  cat.Register(ResourceKind::kDocument, "d", PeerId(4));
+  loop_.Run();
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], PeerId(3));
+  EXPECT_EQ(got[1], PeerId(4));
 }
 
 TEST_F(CatalogKindTest, CentralLookupWithItsServerDownAnswersNoHolders) {

@@ -33,13 +33,15 @@ inline uint64_t TestSeed(uint64_t fallback) {
   return end == s ? fallback : static_cast<uint64_t>(parsed);
 }
 
-/// A payload of exactly `n` bytes (n >= 2): a kQuery header and zero
-/// filler, for network tests that send a given byte count.
-inline wire::Payload PayloadOfSize(size_t n) {
+/// A payload of exactly `n` bytes (n >= 2): a header of class `cls`
+/// (data by default) and zero filler, for network tests that send a
+/// given byte count.
+inline wire::Payload PayloadOfSize(
+    size_t n, wire::MessageClass cls = wire::MessageClass::kQuery) {
   AXML_CHECK_GE(n, wire::kHeaderBytes);
   std::string bytes(n, '\0');
   bytes[0] = static_cast<char>(wire::kWireVersion);
-  bytes[1] = static_cast<char>(wire::MessageClass::kQuery);
+  bytes[1] = static_cast<char>(cls);
   return wire::Payload(std::move(bytes));
 }
 
